@@ -272,22 +272,7 @@ class Core final : private lsq::PresentBitClearer {
   ~Core() override { lsq_.set_present_bit_clearer(nullptr); }
 
   /// Runs until `max_insts` instructions commit (or the trace ends).
-  /// Equivalent to begin(max_insts); while (step(...)) {}; finish() —
-  /// the stepped decomposition exists for the LaneEngine, which
-  /// interleaves many cores in one loop; results are bit-identical by
-  /// construction (the cycle loop body is shared).
   CoreResult run(std::uint64_t max_insts);
-
-  // -- resumable stepping (lane mode) ----------------------------------------
-  /// Arms a run targeting `max_insts` committed instructions.
-  void begin(std::uint64_t max_insts);
-  /// Advances up to `max_cycles` stepped cycles. Returns false once the
-  /// run is over (target reached or trace drained); the watchdog /
-  /// quiescence-check / abort exceptions of run() propagate from here.
-  bool step(std::uint64_t max_cycles);
-  /// Seals the run and returns the result. Call once, after step()
-  /// returned false.
-  CoreResult finish();
 
   // -- observability / microbenchmark probes ---------------------------------
   /// The legacy from-scratch quiescence predicate: true iff no stage can
@@ -302,16 +287,6 @@ class Core final : private lsq::PresentBitClearer {
   [[nodiscard]] std::uint32_t wake_ledger() const noexcept {
     return wake_ledger_;
   }
-  /// The earliest cycle at which this core can next change architectural
-  /// state: the current cycle when any wake bit is set (or in always-step
-  /// mode, which never fast-forwards), else the fast-forward horizon —
-  /// min over the calendar wheel's next event, the hierarchy's pending
-  /// completion, the fetch re-enable and the watchdog, clamped to never
-  /// run backwards (right after a jump the wheel can hold an event due
-  /// *now* with the ledger still clear). A pure scheduling hint for the
-  /// LaneEngine's earliest-wake heap: it never mutates state, and lane
-  /// results do not depend on it.
-  [[nodiscard]] Cycle next_wake_cycle() const;
   /// The shared dependence-ref arena (leak/reuse regression hooks).
   [[nodiscard]] const DepSlab& dep_slab() const noexcept { return dep_slab_; }
 
@@ -526,8 +501,6 @@ class Core final : private lsq::PresentBitClearer {
   /// skipped span through the observer in one batched call.
   void try_fast_forward();
   /// The fast-forward jump target: earliest cycle any wake source fires.
-  /// Shared by try_fast_forward() and the next_wake_cycle() hint so the
-  /// two can never drift.
   [[nodiscard]] Cycle wake_horizon() const;
   /// lsq::PresentBitClearer — the queue tells us a cached L1D location
   /// was released; clear the cache-side presentBit.
@@ -627,8 +600,6 @@ class Core final : private lsq::PresentBitClearer {
   // Results.
   CoreResult res_;
   Cycle last_commit_cycle_ = 0;
-  /// Commit target of the armed run (see begin()).
-  std::uint64_t target_ = 0;
 };
 
 /// A literal nullptr observer cannot deduce ObserverT; it means "no

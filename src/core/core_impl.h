@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -1034,12 +1033,6 @@ Cycle Core<LsqT, ObserverT>::wake_horizon() const {
 }
 
 template <typename LsqT, typename ObserverT>
-Cycle Core<LsqT, ObserverT>::next_wake_cycle() const {
-  if (cfg_.always_step || wake_ledger_ != 0) return cycle_;
-  return std::max(cycle_, wake_horizon());
-}
-
-template <typename LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::try_fast_forward() {
   if (wake_ledger_ != 0) return;
   const Cycle wake = wake_horizon();
@@ -1058,19 +1051,10 @@ void Core<LsqT, ObserverT>::try_fast_forward() {
 }
 
 template <typename LsqT, typename ObserverT>
-void Core<LsqT, ObserverT>::begin(std::uint64_t max_insts) {
-  target_ = std::min<std::uint64_t>(max_insts, trace_.size());
+CoreResult Core<LsqT, ObserverT>::run(std::uint64_t max_insts) {
+  const std::uint64_t target = std::min<std::uint64_t>(max_insts, trace_.size());
   last_commit_cycle_ = 0;
-}
-
-template <typename LsqT, typename ObserverT>
-bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
-  // One iteration here is one iteration of the legacy run() loop — the
-  // body is verbatim, so stepping in blocks of any size (the LaneEngine
-  // round-robins lanes in ~kilocycle turns) commits the same
-  // instructions at the same cycles as one uninterrupted run.
-  for (std::uint64_t stepped = 0; stepped < max_cycles; ++stepped) {
-    if (res_.committed >= target_) return false;
+  while (res_.committed < target) {
     dcache_ports_used_ = 0;
     int_alu_.new_cycle();
     fp_alu_.new_cycle();
@@ -1085,7 +1069,7 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
     // cross-check.
     if (cfg_.always_step || (wake_ledger_ & kWakeCommitHead) != 0) {
       commit_stage();
-      if (res_.committed >= target_) return false;
+      if (res_.committed >= target) break;
     }
     if (cfg_.always_step || completions_.has_due(cycle_)) {
       writeback_stage();
@@ -1105,7 +1089,7 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
     // and it cannot mask a wedge: this holds within commit_width cycles
     // of the final commit, 200k cycles before the watchdog could.
     if (head_ == tail_ && fetch_queue_.empty() && fetch_seq_ >= trace_.size()) {
-      return false;
+      break;
     }
     // Differential cross-check (tests, SAMIE_CHECK_QUIESCENCE builds):
     // the incremental ledger and the from-scratch predicate must agree
@@ -1132,24 +1116,11 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
                               std::to_string(cycle_));
     }
   }
-  return res_.committed < target_;
-}
-
-template <typename LsqT, typename ObserverT>
-CoreResult Core<LsqT, ObserverT>::finish() {
   res_.cycles = cycle_;
   res_.ipc = cycle_ > 0 ? static_cast<double>(res_.committed) /
                               static_cast<double>(cycle_)
                         : 0.0;
   return res_;
-}
-
-template <typename LsqT, typename ObserverT>
-CoreResult Core<LsqT, ObserverT>::run(std::uint64_t max_insts) {
-  begin(max_insts);
-  while (step(std::numeric_limits<std::uint64_t>::max())) {
-  }
-  return finish();
 }
 
 }  // namespace samie::core

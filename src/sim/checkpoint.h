@@ -17,8 +17,8 @@
 // one per completed job, so a crash or OOM kill loses at most the job
 // that was in flight; a torn final line fails its FNV guard and is
 // ignored on load. 'R' lines are results; 'Q' lines are quarantine
-// records (the process-isolated executor journals jobs that crashed a
-// child, so a resume never re-runs a known-poison job); 'D' lines are
+// records (jobs that crashed an isolated child, so a resume never
+// re-runs a known-poison job); 'D' lines are
 // trace-damage records (jobs whose replay range touched corrupt trace
 // blocks — deterministic, so a resume seals rather than retries them).
 // Payload contents

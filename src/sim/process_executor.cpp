@@ -21,7 +21,6 @@
 #include "src/sim/checkpoint.h"  // serialize_sim_result / parse_sim_result
 #include "src/sim/proc_frame.h"
 #include "src/sim/simulator.h"
-#include "src/trace/trace_io.h"
 
 namespace samie::sim {
 
@@ -37,13 +36,27 @@ std::atomic<bool> g_cancel{false};
 /// the handler itself never opens anything.
 int g_crash_fd = -1;
 
+/// Async-signal-safe: write(2) and errno only.
+[[nodiscard]] bool write_all(int fd, const char* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t r = ::write(fd, p, n);
+    if (r <= 0) {
+      if (r < 0 && errno == EINTR) continue;
+      return false;
+    }
+    p += r;
+    n -= static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
 extern "C" void sigterm_handler(int) {
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
 /// Async-signal-safe by construction: plain stores into a stack
 /// CrashWire, backtrace() (primed at install time so its lazy libgcc
-/// init already happened), one write(2), then re-raise with the default
+/// init already happened), write_all, then re-raise with the default
 /// disposition so the parent's waitpid sees the real signal.
 extern "C" void crash_handler(int sig, siginfo_t* si, void*) {
   CrashWire w;
@@ -59,17 +72,7 @@ extern "C" void crash_handler(int sig, siginfo_t* si, void*) {
     w.frames[i] = reinterpret_cast<std::uint64_t>(frames[i]);
   }
   if (g_crash_fd >= 0) {
-    const char* p = reinterpret_cast<const char*>(&w);
-    std::size_t left = sizeof w;
-    while (left > 0) {
-      const ssize_t r = ::write(g_crash_fd, p, left);
-      if (r <= 0) {
-        if (r < 0 && errno == EINTR) continue;
-        break;
-      }
-      p += r;
-      left -= static_cast<std::size_t>(r);
-    }
+    (void)write_all(g_crash_fd, reinterpret_cast<const char*>(&w), sizeof w);
   }
   ::signal(sig, SIG_DFL);
   ::raise(sig);
@@ -117,42 +120,20 @@ void apply_limits(const ChildLimits& lim) {
   }
 }
 
-[[nodiscard]] bool write_all(int fd, const char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t r = ::write(fd, p, n);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 [[nodiscard]] std::string error_payload(const char* cls,
                                         const std::string& what) {
   return std::string(cls) + '\x1f' + what;
 }
 
-/// Executes an isolation-only (or generic) injected fault inside the
-/// child. kCrash/kOom/kSpin deliberately take the process down — the
-/// whole point is proving the parent contains them.
+/// Executes an in-attempt injected fault inside the child (the sweep's
+/// state machine performs every other kind before spawning). kCrash/
+/// kOom/kSpin deliberately take the process down — the whole point is
+/// proving the parent contains them.
 void run_child_fault(const SweepFault& f) {
   switch (f.kind) {
-    case SweepFault::Kind::kThrowTransient:
-      throw TransientFault("injected transient fault (job " +
-                           std::to_string(f.job) + ", attempt " +
-                           std::to_string(f.attempt) + ")");
-    case SweepFault::Kind::kThrowDeterministic:
-      throw std::logic_error("injected deterministic fault (job " +
-                             std::to_string(f.job) + ", attempt " +
-                             std::to_string(f.attempt) + ")");
     case SweepFault::Kind::kDelay:
       std::this_thread::sleep_for(f.delay);
       break;
-    case SweepFault::Kind::kSpuriousWake:
-      break;  // no supervisor thread exists in isolate mode
     case SweepFault::Kind::kCrash: {
       // Poisoned, non-null address so the forensics record carries a
       // recognizable si_addr. The volatile reload of the address keeps
@@ -178,6 +159,8 @@ void run_child_fault(const SweepFault& f) {
       for (volatile std::uint64_t n = 0;;) n = n + 1;
     case SweepFault::Kind::kTornFrame:
       break;  // handled in child_main (needs the result fd)
+    default:
+      break;  // not an in-attempt kind
   }
 }
 
@@ -204,10 +187,6 @@ void run_child_fault(const SweepFault& f) {
     payload = serialize_sim_result(r);
   } catch (const core::SimulationAborted& e) {
     payload = error_payload(kErrAborted, e.what());
-  } catch (const TransientFault& e) {
-    payload = error_payload(kErrTransient, e.what());
-  } catch (const trace::TraceFormatError& e) {
-    payload = error_payload(kErrTransient, e.what());
   } catch (const std::bad_alloc&) {
     payload =
         lim.mem_mb != 0
@@ -216,7 +195,10 @@ void run_child_fault(const SweepFault& f) {
                                 std::to_string(lim.mem_mb) + " MiB)")
             : error_payload(kErrTransient, "std::bad_alloc");
   } catch (const std::exception& e) {
-    payload = error_payload(kErrDeterministic, e.what());
+    const bool transient = classify_failure(std::current_exception()) ==
+                           FailureClass::kTransient;
+    payload =
+        error_payload(transient ? kErrTransient : kErrDeterministic, e.what());
   } catch (...) {
     payload = error_payload(kErrDeterministic, "non-standard exception");
   }
@@ -338,6 +320,13 @@ void ProcessExecutor::spawn(std::uint64_t key, const SimConfig& cfg,
 }
 
 std::optional<ProcessExecutor::Event> ProcessExecutor::poll() {
+  const auto now = std::chrono::steady_clock::now();
+  for (Child& ch : children_) {
+    if (ch.sent_term && !ch.sent_kill && now >= ch.kill_at) {
+      ch.sent_kill = true;
+      (void)::kill(ch.pid, SIGKILL);
+    }
+  }
   for (std::size_t i = 0; i < children_.size(); ++i) {
     Child& ch = children_[i];
     int status = 0;
@@ -355,20 +344,13 @@ std::optional<ProcessExecutor::Event> ProcessExecutor::poll() {
   return std::nullopt;
 }
 
-void ProcessExecutor::term(std::uint64_t key) noexcept {
+void ProcessExecutor::term(std::uint64_t key,
+                           std::chrono::milliseconds grace) noexcept {
   for (Child& ch : children_) {
     if (ch.key == key && !ch.sent_term) {
       ch.sent_term = true;
+      ch.kill_at = std::chrono::steady_clock::now() + grace;
       (void)::kill(ch.pid, SIGTERM);
-    }
-  }
-}
-
-void ProcessExecutor::kill(std::uint64_t key) noexcept {
-  for (Child& ch : children_) {
-    if (ch.key == key && !ch.sent_kill) {
-      ch.sent_kill = true;
-      (void)::kill(ch.pid, SIGKILL);
     }
   }
 }
@@ -380,75 +362,71 @@ ProcessExecutor::Event ProcessExecutor::decode_fate(const Child& ch,
   // The child is reaped: both pipes drain to EOF without blocking.
   const std::string frame_bytes = read_all(ch.result_fd);
   const std::string crash_bytes = read_all(ch.crash_fd);
-  if (status < 0) {
-    ev.fate = FateKind::kBadExit;
-    ev.what = "waitpid failed for the child";
+  const auto fated = [&ev](JobStatus fate, const std::string& what) {
+    ev.fate = fate;
+    ev.error = std::make_exception_ptr(std::runtime_error(what));
     return ev;
-  }
+  };
+  if (status < 0) return fated(JobStatus::kFailed, "waitpid failed for the child");
   if (WIFSIGNALED(status)) {
     ev.signal = WTERMSIG(status);
     if ((ev.signal == SIGTERM && ch.sent_term) ||
         (ev.signal == SIGKILL && ch.sent_kill)) {
-      ev.fate = FateKind::kKilled;
-      ev.what = ev.signal == SIGKILL
-                    ? "hard-killed (SIGKILL) after the SIGTERM grace expired"
-                    : "terminated (SIGTERM) at the deadline";
-      return ev;
+      return fated(JobStatus::kTimedOut,
+                   ev.signal == SIGKILL
+                       ? "hard-killed (SIGKILL) after the SIGTERM grace expired"
+                       : "terminated (SIGTERM) at the deadline");
     }
     if (ev.signal == SIGXCPU) {
-      ev.fate = FateKind::kResourceExceeded;
-      ev.what = "RLIMIT_CPU exceeded (SIGXCPU)";
-      return ev;
+      return fated(JobStatus::kResourceExceeded,
+                   "RLIMIT_CPU exceeded (SIGXCPU)");
     }
     if (ev.signal == SIGKILL) {
       // We did not send it and no rlimit delivers SIGKILL: almost
       // certainly the kernel OOM killer.
-      ev.fate = FateKind::kResourceExceeded;
-      ev.what = "killed (SIGKILL not sent by the supervisor — likely the "
-                "kernel OOM killer)";
-      return ev;
+      return fated(JobStatus::kResourceExceeded,
+                   "killed (SIGKILL not sent by the supervisor — likely the "
+                   "kernel OOM killer)");
     }
-    ev.fate = FateKind::kCrashed;
     ev.crash = decode_crash(crash_bytes, ev.signal);
-    ev.what = "child crashed with " + signal_name(ev.signal);
-    if (ev.crash.fault_addr != 0) {
-      ev.what += " at " + hex_addr(ev.crash.fault_addr);
-    }
-    return ev;
+    std::string what = "child crashed with " + signal_name(ev.signal);
+    if (ev.crash.fault_addr != 0) what += " at " + hex_addr(ev.crash.fault_addr);
+    return fated(JobStatus::kCrashed, what);
   }
   const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  ev.exit_code = code;
   if (code != 0) {
-    ev.fate = FateKind::kBadExit;
-    ev.what = "child exited with code " + std::to_string(code) +
-              " without a usable result";
-    return ev;
+    return fated(JobStatus::kFailed, "child exited with code " +
+                                         std::to_string(code) +
+                                         " without a usable result");
   }
   const std::optional<DecodedFrame> frame = decode_frame(frame_bytes);
   if (!frame) {
-    ev.fate = FateKind::kBadFrame;
-    ev.what = "truncated or corrupt result frame (" +
-              std::to_string(frame_bytes.size()) + " bytes)";
-    return ev;
+    return fated(JobStatus::kFailed, "truncated or corrupt result frame (" +
+                                         std::to_string(frame_bytes.size()) +
+                                         " bytes)");
   }
   if (frame->kind == FrameKind::kResult) {
     if (!parse_sim_result(frame->payload, ev.result)) {
-      ev.fate = FateKind::kBadFrame;
-      ev.what = "result frame payload failed to parse";
-      return ev;
+      return fated(JobStatus::kFailed, "result frame payload failed to parse");
     }
-    ev.fate = FateKind::kResult;
     return ev;
   }
   const std::size_t sep = frame->payload.find('\x1f');
   if (sep == std::string::npos) {
-    ev.fate = FateKind::kBadFrame;
-    ev.what = "error frame payload missing its class separator";
-    return ev;
+    return fated(JobStatus::kFailed,
+                 "error frame payload missing its class separator");
   }
-  ev.fate = FateKind::kError;
-  ev.error_class = frame->payload.substr(0, sep);
-  ev.what = frame->payload.substr(sep + 1);
+  const std::string cls = frame->payload.substr(0, sep);
+  const std::string what = frame->payload.substr(sep + 1);
+  if (cls == kErrResource) return fated(JobStatus::kResourceExceeded, what);
+  if (cls == kErrAborted) {
+    // Only the deadline SIGTERM flips the child's token.
+    ev.error = std::make_exception_ptr(core::SimulationAborted(what));
+  } else if (cls == kErrTransient) {
+    ev.error = std::make_exception_ptr(TransientFault(what));
+  } else {
+    ev.error = std::make_exception_ptr(std::runtime_error(what));
+  }
   return ev;
 }
 

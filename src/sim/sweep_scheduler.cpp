@@ -2,26 +2,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
-#include <tuple>
+#include <utility>
 
 #include "src/core/core.h"
 #include "src/sim/checkpoint.h"
-#include "src/sim/lane_engine.h"
-#include "src/sim/proc_frame.h"
 #include "src/sim/process_executor.h"
 #include "src/sim/trace_cache.h"
 #include "src/trace/trace_io.h"
@@ -32,85 +31,11 @@ namespace samie::sim {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+constexpr Clock::time_point kNever = Clock::time_point::max();
 
 [[nodiscard]] double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// Enforces per-job wall-clock deadlines by flipping each job's
-/// cooperative cancellation token when its deadline passes. One thread
-/// serves the whole pool: it sleeps until the earliest armed deadline
-/// and rescans on every wake. Spurious wake-ups (which the fault plan
-/// can inject) are harmless by construction — the loop recomputes the
-/// earliest deadline from scratch each iteration and only fires tokens
-/// whose deadline has genuinely passed.
-class DeadlineSupervisor {
- public:
-  explicit DeadlineSupervisor(unsigned slots) : entries_(slots) {
-    thread_ = std::thread([this] { loop(); });
-  }
-  DeadlineSupervisor(const DeadlineSupervisor&) = delete;
-  DeadlineSupervisor& operator=(const DeadlineSupervisor&) = delete;
-  ~DeadlineSupervisor() {
-    {
-      std::scoped_lock lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  void arm(unsigned slot, std::atomic<bool>* token, Clock::time_point deadline) {
-    {
-      std::scoped_lock lock(mu_);
-      entries_[slot] = Entry{token, deadline, true};
-    }
-    cv_.notify_all();
-  }
-
-  void disarm(unsigned slot) {
-    std::scoped_lock lock(mu_);
-    entries_[slot].armed = false;
-  }
-
-  /// Fault-injection hook: wake the supervisor with nothing expired.
-  void spurious_wake() { cv_.notify_all(); }
-
- private:
-  struct Entry {
-    std::atomic<bool>* token = nullptr;
-    Clock::time_point deadline{};
-    bool armed = false;
-  };
-
-  void loop() {
-    std::unique_lock lock(mu_);
-    while (!stop_) {
-      Clock::time_point next = Clock::time_point::max();
-      const Clock::time_point now = Clock::now();
-      for (Entry& e : entries_) {
-        if (!e.armed) continue;
-        if (e.deadline <= now) {
-          e.token->store(true, std::memory_order_relaxed);
-          e.armed = false;
-        } else {
-          next = std::min(next, e.deadline);
-        }
-      }
-      if (next == Clock::time_point::max()) {
-        cv_.wait(lock);
-      } else {
-        cv_.wait_until(lock, next);
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Entry> entries_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 [[nodiscard]] std::string what_of(const std::exception_ptr& error) {
   if (!error) return "unknown error";
@@ -123,185 +48,73 @@ class DeadlineSupervisor {
   }
 }
 
-[[nodiscard]] std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
+// -- journal payloads --------------------------------------------------------
+//
+// Every payload (TAB-separated) opens with the same five fields —
+//   index, program, tag, attempts, wall
+// — followed by its kind's own fields:
+//   R (completed)   serialized SimResult
+//   Q (crashed)     signal, fault_addr (hex), backtrace frames joined by
+//                   '\x1f' (the crash decoder scrubbed tabs/newlines)
+//   D (damaged)     damage kind name, block (decimal; TraceCorruptError::
+//                   kNoBlock when unattributable), byte offset
 
-/// Checkpoint record payload for one completed job (TAB-separated):
-///   index, program, tag, attempts, wall, serialized SimResult
-[[nodiscard]] std::string encode_record(std::size_t index, const Job& job,
-                                        const JobOutcome& oc,
-                                        const SimResult& result) {
+[[nodiscard]] std::string encode_head(std::size_t index, const Job& job,
+                                      const JobOutcome& oc) {
+  char wall[48];
+  std::snprintf(wall, sizeof wall, "%a", oc.wall_seconds);  // exact
   std::ostringstream os;
   os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << hex_double(oc.wall_seconds) << '\t'
-     << serialize_sim_result(result);
+     << '\t' << wall << '\t';
   return os.str();
 }
 
-struct DecodedRecord {
+/// A decoded payload: the shared head plus the kind's remaining fields
+/// (`rest` holds `n` TAB-terminated fields, then the unterminated tail).
+struct DecodedHead {
   std::size_t index = 0;
   std::string program;
   std::string tag;
   std::uint32_t attempts = 0;
   double wall_seconds = 0.0;
-  SimResult result;
+  std::vector<std::string> rest;
 };
 
-[[nodiscard]] bool decode_record(const std::string& payload,
-                                 DecodedRecord& out) {
+[[nodiscard]] bool parse_uint(const std::string& s, int base,
+                              std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(s.c_str(), &end, base);
+  return errno == 0 && end == s.c_str() + s.size();
+}
+
+/// Splits `payload` into the head and `n` more fields plus the tail;
+/// false on a torn or malformed line.
+[[nodiscard]] bool decode_head(const std::string& payload, std::size_t n,
+                               DecodedHead& out) {
   std::vector<std::string> fields;
   std::size_t at = 0;
-  while (fields.size() < 5) {
+  while (fields.size() < 5 + n) {
     const std::size_t tab = payload.find('\t', at);
     if (tab == std::string::npos) return false;
     fields.push_back(payload.substr(at, tab - at));
     at = tab + 1;
   }
-  char* end = nullptr;
-  errno = 0;
-  out.index = std::strtoull(fields[0].c_str(), &end, 10);
-  if (errno != 0 || end != fields[0].c_str() + fields[0].size()) return false;
-  out.program = fields[1];
-  out.tag = fields[2];
-  out.attempts =
-      static_cast<std::uint32_t>(std::strtoul(fields[3].c_str(), &end, 10));
-  if (end != fields[3].c_str() + fields[3].size()) return false;
-  out.wall_seconds = std::strtod(fields[4].c_str(), &end);
-  if (end != fields[4].c_str() + fields[4].size()) return false;
-  return parse_sim_result(payload.substr(at), out.result);
-}
-
-/// Quarantine payload for a job that crashed its isolated child
-/// (TAB-separated):
-///   index, program, tag, attempts, wall, signal, fault_addr (hex),
-///   backtrace frames joined by '\x1f'
-/// Frames were scrubbed of tabs/newlines by the crash decoder, so the
-/// grammar holds.
-[[nodiscard]] std::string encode_quarantine(std::size_t index, const Job& job,
-                                            const JobOutcome& oc) {
-  std::ostringstream os;
-  os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << hex_double(oc.wall_seconds) << '\t' << oc.crash.signal << '\t'
-     << std::hex << oc.crash.fault_addr << std::dec << '\t';
-  for (std::size_t i = 0; i < oc.crash.frames.size(); ++i) {
-    if (i != 0) os << '\x1f';
-    os << oc.crash.frames[i];
-  }
-  return os.str();
-}
-
-struct DecodedQuarantine {
-  std::size_t index = 0;
-  std::string program;
-  std::string tag;
-  std::uint32_t attempts = 0;
-  double wall_seconds = 0.0;
-  CrashRecord crash;
-};
-
-[[nodiscard]] bool decode_quarantine(const std::string& payload,
-                                     DecodedQuarantine& out) {
-  std::vector<std::string> fields;
-  std::size_t at = 0;
-  while (fields.size() < 7) {
-    const std::size_t tab = payload.find('\t', at);
-    if (tab == std::string::npos) return false;
-    fields.push_back(payload.substr(at, tab - at));
-    at = tab + 1;
-  }
-  char* end = nullptr;
-  errno = 0;
-  out.index = std::strtoull(fields[0].c_str(), &end, 10);
-  if (errno != 0 || end != fields[0].c_str() + fields[0].size()) return false;
-  out.program = fields[1];
-  out.tag = fields[2];
-  out.attempts =
-      static_cast<std::uint32_t>(std::strtoul(fields[3].c_str(), &end, 10));
-  if (end != fields[3].c_str() + fields[3].size()) return false;
-  out.wall_seconds = std::strtod(fields[4].c_str(), &end);
-  if (end != fields[4].c_str() + fields[4].size()) return false;
-  out.crash.signal = static_cast<int>(std::strtol(fields[5].c_str(), &end, 10));
-  if (end != fields[5].c_str() + fields[5].size() || out.crash.signal == 0) {
+  std::uint64_t index = 0;
+  std::uint64_t attempts = 0;
+  if (!parse_uint(fields[0], 10, index) || !parse_uint(fields[3], 10, attempts)) {
     return false;
   }
-  out.crash.fault_addr = std::strtoull(fields[6].c_str(), &end, 16);
-  if (end != fields[6].c_str() + fields[6].size()) return false;
-  const std::string frames = payload.substr(at);
-  for (std::size_t from = 0; from <= frames.size() && !frames.empty();) {
-    std::size_t sep = frames.find('\x1f', from);
-    if (sep == std::string::npos) sep = frames.size();
-    if (sep > from) out.crash.frames.push_back(frames.substr(from, sep - from));
-    from = sep + 1;
-    if (sep == frames.size()) break;
-  }
-  return true;
-}
-
-/// Trace-damage payload for a job whose replay range touched corrupt
-/// blocks (TAB-separated):
-///   index, program, tag, attempts, wall, damage kind name, block
-///   (decimal; TraceCorruptError::kNoBlock when unattributable), offset
-[[nodiscard]] std::string encode_damaged(std::size_t index, const Job& job,
-                                         const JobOutcome& oc) {
-  std::ostringstream os;
-  os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << hex_double(oc.wall_seconds) << '\t'
-     << trace::trace_damage_name(oc.damage) << '\t' << oc.damage_block << '\t'
-     << oc.damage_offset;
-  return os.str();
-}
-
-struct DecodedDamage {
-  std::size_t index = 0;
-  std::string program;
-  std::string tag;
-  std::uint32_t attempts = 0;
-  double wall_seconds = 0.0;
-  trace::TraceDamage damage = trace::TraceDamage::kNone;
-  std::uint64_t block = trace::TraceCorruptError::kNoBlock;
-  std::uint64_t offset = 0;
-};
-
-[[nodiscard]] bool decode_damaged(const std::string& payload,
-                                  DecodedDamage& out) {
-  std::vector<std::string> fields;
-  std::size_t at = 0;
-  while (fields.size() < 7) {
-    const std::size_t tab = payload.find('\t', at);
-    if (tab == std::string::npos) return false;
-    fields.push_back(payload.substr(at, tab - at));
-    at = tab + 1;
-  }
-  fields.push_back(payload.substr(at));
   char* end = nullptr;
-  errno = 0;
-  out.index = std::strtoull(fields[0].c_str(), &end, 10);
-  if (errno != 0 || end != fields[0].c_str() + fields[0].size()) return false;
-  out.program = fields[1];
-  out.tag = fields[2];
-  out.attempts =
-      static_cast<std::uint32_t>(std::strtoul(fields[3].c_str(), &end, 10));
-  if (end != fields[3].c_str() + fields[3].size()) return false;
   out.wall_seconds = std::strtod(fields[4].c_str(), &end);
   if (end != fields[4].c_str() + fields[4].size()) return false;
-  bool known = false;
-  for (const trace::TraceDamage d :
-       {trace::TraceDamage::kTornTail, trace::TraceDamage::kInteriorCorrupt,
-        trace::TraceDamage::kBadIndex}) {
-    if (fields[5] == trace::trace_damage_name(d)) {
-      out.damage = d;
-      known = true;
-      break;
-    }
-  }
-  if (!known) return false;
-  out.block = std::strtoull(fields[6].c_str(), &end, 10);
-  if (end != fields[6].c_str() + fields[6].size()) return false;
-  out.offset = std::strtoull(fields[7].c_str(), &end, 10);
-  return end == fields[7].c_str() + fields[7].size();
+  out.index = index;
+  out.program = fields[1];
+  out.tag = fields[2];
+  out.attempts = static_cast<std::uint32_t>(attempts);
+  out.rest.assign(fields.begin() + 5, fields.end());
+  out.rest.push_back(payload.substr(at));
+  return true;
 }
 
 /// Seals a TraceCorruptError into the outcome's damage fields.
@@ -314,27 +127,14 @@ void fill_damage(JobOutcome& oc, const trace::TraceCorruptError& e) {
   oc.damage_offset = e.offset;
 }
 
-/// Arms an I/O fault kind on the job's trace path; the next open of
-/// that path (this attempt's traces_.get) consumes it.
+/// Arms a read-side I/O fault kind on the job's trace path; the attempt's
+/// next open of that path consumes it.
 void arm_io_fault(const Job& job, const SweepFault& f) {
   trace::IoFault io;
   io.param = f.param;
-  switch (f.kind) {
-    case SweepFault::Kind::kShortRead:
-      io.kind = trace::IoFault::Kind::kShortRead;
-      break;
-    case SweepFault::Kind::kBitFlipBlock:
-      io.kind = trace::IoFault::Kind::kBitFlipBlock;
-      break;
-    case SweepFault::Kind::kEnospcOnImport:
-      io.kind = trace::IoFault::Kind::kEnospcOnImport;
-      break;
-    case SweepFault::Kind::kTornImport:
-      io.kind = trace::IoFault::Kind::kTornImport;
-      break;
-    default:
-      return;
-  }
+  io.kind = f.kind == SweepFault::Kind::kShortRead
+                ? trace::IoFault::Kind::kShortRead
+                : trace::IoFault::Kind::kBitFlipBlock;
   trace::set_io_fault(job.config.trace_path, io);
 }
 
@@ -376,677 +176,561 @@ void tally(SweepReport& rep) {
   }
 }
 
-/// Sharded batched-lane executor (SweepOptions::lanes x lane_shards):
-/// T worker shards, each owning a *private* LaneEngine of up to K
-/// lanes, pull jobs from a shared cursor + due-time retry queue and
-/// publish retirements into the per-index report slots. The job
-/// lifecycle mirrors the worker pool exactly — the same pre-run fault
-/// hooks, transient-retry policy with backoff (a retried job goes back
-/// on the shared queue, so the next attempt lands on whichever shard
-/// has a free lane first), cooperative deadline tokens (supervisor slot
-/// = shard x K + local lane), drain-to-Skipped past the failure budget
-/// and checkpoint journaling — and completed results are bit-identical
-/// (a lane *is* run_simulation sliced into turns, and lanes never share
-/// mutable simulation state), so the CSV a sharded lane sweep emits
-/// matches the threaded sweep byte for byte at any T. T=1 runs on the
-/// calling thread with no pool. Retry backoff never sleeps a shard:
-/// due-times sit on the queue while live lanes keep stepping, and an
-/// idle shard waits on the queue's condition variable with a deadline
-/// at the earliest due retry. Injected delay faults sleep only the
-/// shard running the faulted attempt; sibling shards keep stepping.
-class LaneExecutor {
- public:
-  LaneExecutor(const std::vector<Job>& jobs,
-               const std::vector<std::size_t>& todo, const SweepOptions& opt,
-               SweepReport& rep, TraceCache& traces,
-               std::optional<DeadlineSupervisor>& supervisor,
-               std::optional<CheckpointWriter>& journal, unsigned shards)
-      : jobs_(jobs),
-        todo_(todo),
-        opt_(opt),
-        rep_(rep),
-        traces_(traces),
-        supervisor_(supervisor),
-        journal_(journal),
-        lanes_per_shard_(std::max(1U, opt.lanes)),
-        shards_(std::max(1U, shards)),
-        turn_(opt.lane_turn != 0 ? opt.lane_turn
-                                 : LaneEngine::kDefaultCyclesPerTurn) {}
+// -- attempt runners ---------------------------------------------------------
 
-  void run() {
-    if (shards_ == 1) {
-      shard_main(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(shards_);
-      for (unsigned s = 0; s < shards_; ++s) {
-        pool.emplace_back([this, s] {
-          try {
-            shard_main(s);
-          } catch (...) {
-            // Defensive: per-job failures are outcomes, so only
-            // infrastructure (journal I/O, bad_alloc in bookkeeping)
-            // lands here. First exception wins; siblings drain out.
-            std::scoped_lock lock(mu_);
-            if (!panic_) panic_ = std::current_exception();
-            cv_.notify_all();
-          }
-        });
+/// How one attempt ended, as a runner reports it to the state machine.
+struct AttemptEnd {
+  unsigned slot = 0;
+  SimResult result;          ///< valid when neither `error` nor `fate` is set
+  std::exception_ptr error;  ///< what ended the attempt, if it did not complete
+  /// Child runner only: an outcome the process boundary itself decided
+  /// (ProcessExecutor::Event::fate); `error` then carries its description.
+  std::optional<JobStatus> fate;
+  int signal = 0;     ///< signal that ended the child, if any
+  CrashRecord crash;  ///< Crashed only
+};
+
+/// Executes attempts for the state machine, one per slot. Every method is
+/// called from the state machine's (the calling) thread.
+class AttemptRunner {
+ public:
+  AttemptRunner() = default;
+  AttemptRunner(const AttemptRunner&) = delete;
+  AttemptRunner& operator=(const AttemptRunner&) = delete;
+  virtual ~AttemptRunner() = default;
+  /// Starts job `index` in the free `slot`; `fault`, when set, is an
+  /// in-attempt kind (delay, or an isolation-only kind) to perform inside
+  /// the attempt. A throw is a parent-side failure that ends the attempt.
+  virtual void start(unsigned slot, std::size_t index,
+                     const SweepFault* fault) = 0;
+  /// Waits until an attempt ends (its event) or `until` passes (nullopt).
+  virtual std::optional<AttemptEnd> wait(Clock::time_point until) = 0;
+  /// The attempt in `slot` overran its deadline.
+  virtual void cancel(unsigned slot) = 0;
+};
+
+/// N worker threads run run_simulation under per-slot cooperative cancel
+/// tokens (the core polls its token on stepped cycles, off the
+/// fast-forward path, so statistics are bit-identical with or without
+/// one). Workers acquire the trace themselves, so generation and mmap
+/// run in parallel, and post completion events back.
+class ThreadRunner final : public AttemptRunner {
+ public:
+  ThreadRunner(unsigned workers, const std::vector<Job>& jobs,
+               TraceCache& traces)
+      : jobs_(jobs), traces_(traces), cancel_(workers) {
+    pool_.reserve(workers);
+    try {
+      for (unsigned w = 0; w < workers; ++w) {
+        pool_.emplace_back([this] { work(); });
       }
-      for (auto& th : pool) th.join();
+    } catch (...) {
+      stop();  // joins the workers already started
+      throw;
     }
-    if (panic_) std::rethrow_exception(panic_);
+  }
+  ~ThreadRunner() override { stop(); }
+
+  void start(unsigned slot, std::size_t index, const SweepFault* fault) override {
+    cancel_[slot].store(false, std::memory_order_relaxed);
+    {
+      std::scoped_lock lock(mu_);
+      todo_.push_back(Start{slot, index, fault});
+    }
+    todo_cv_.notify_one();
+  }
+
+  std::optional<AttemptEnd> wait(Clock::time_point until) override {
+    std::unique_lock lock(mu_);
+    const auto ready = [this] { return !done_.empty(); };
+    if (until == kNever) {
+      done_cv_.wait(lock, ready);
+    } else if (!done_cv_.wait_until(lock, until, ready)) {
+      return std::nullopt;
+    }
+    AttemptEnd end = std::move(done_.front());
+    done_.pop_front();
+    return end;
+  }
+
+  void cancel(unsigned slot) override {
+    cancel_[slot].store(true, std::memory_order_relaxed);
   }
 
  private:
-  struct InFlight {
+  struct Start {
+    unsigned slot = 0;
     std::size_t index = 0;
-    unsigned slot = 0;  ///< global supervisor slot (shard x K + lane)
-    JobOutcome oc;
-    /// Stable address for the core's cooperative cancellation poll.
-    std::unique_ptr<std::atomic<bool>> cancel;
-    /// Keeps the mmapped/generated trace alive while the lane runs.
-    std::shared_ptr<const trace::TraceSource> trace;
-    Clock::time_point t0;  ///< first attempt start, carried across retries
+    const SweepFault* fault = nullptr;
   };
 
-  /// A job waiting out its retry backoff on the shared queue. Only the
-  /// outcome-so-far travels — the next attempt rebuilds its cancel
-  /// token and trace reference on whichever shard picks it up.
-  struct PendingRetry {
-    std::size_t index = 0;
-    JobOutcome oc;
-    Clock::time_point t0;
-    Clock::time_point due;
-  };
-
-  /// One shard: a private engine stepping up to K lanes, refilled from
-  /// the shared queue. Returns when the sweep is complete (or a sibling
-  /// panicked).
-  void shard_main(unsigned shard) {
-    LaneEngine engine(turn_);
-    std::map<std::uint64_t, InFlight> inflight;
-    std::vector<unsigned> free_slots;
-    for (unsigned l = 0; l < lanes_per_shard_; ++l) {
-      free_slots.push_back(shard * lanes_per_shard_ + l);
+  void stop() {
+    // Normally every attempt has ended; on an infrastructure throw the
+    // tokens cut the attempts still running short.
+    for (std::atomic<bool>& c : cancel_) c.store(true, std::memory_order_relaxed);
+    {
+      std::scoped_lock lock(mu_);
+      stop_ = true;
     }
-    for (;;) {
-      refill(engine, inflight, free_slots);
-      if (engine.active() == 0) {
-        // Nothing runnable here. Either the sweep is done, or the only
-        // work left is a not-yet-due retry / jobs owned by other shards
-        // (which may still spawn retries) — wait for the earliest due
-        // time or a queue change.
-        std::unique_lock lock(mu_);
-        if (panic_ || done_locked()) return;
-        const Clock::time_point due = earliest_due_locked();
-        if (due == Clock::time_point::max()) {
-          cv_.wait(lock);
-        } else {
-          cv_.wait_until(lock, due);
-        }
-        continue;
-      }
-      auto ev = engine.run_until_event();
-      if (!ev) continue;
-      auto node = inflight.extract(ev->key);
-      InFlight& st = node.mapped();
-      if (supervisor_) supervisor_->disarm(st.slot);
-      free_slots.push_back(st.slot);
-      if (ev->ok) {
-        st.oc.status = JobStatus::kCompleted;
-        finalize(st, nullptr, &ev->result);
-      } else {
-        retry_or_finalize(st, ev->error);
-      }
-    }
+    todo_cv_.notify_all();
+    for (std::thread& t : pool_) t.join();
   }
 
-  /// Admits work until this shard's lanes are full or the queue has
-  /// nothing runnable: due retries first (a backed-off job re-enters
-  /// ahead of fresh work), then fresh jobs off the shared cursor. Jobs
-  /// drained past the failure budget seal as Skipped here.
-  void refill(LaneEngine& engine, std::map<std::uint64_t, InFlight>& inflight,
-              std::vector<unsigned>& free_slots) {
-    while (!free_slots.empty()) {
-      InFlight st;
-      bool have = false;
-      std::vector<std::size_t> drained;
+  void work() {
+    for (;;) {
+      Start s;
+      {
+        std::unique_lock lock(mu_);
+        todo_cv_.wait(lock, [this] { return stop_ || !todo_.empty(); });
+        if (stop_) return;
+        s = todo_.front();
+        todo_.pop_front();
+      }
+      AttemptEnd end;
+      end.slot = s.slot;
+      try {
+        // The only in-attempt kind an in-process sweep accepts.
+        if (s.fault != nullptr) std::this_thread::sleep_for(s.fault->delay);
+        const Job& job = jobs_[s.index];
+        const auto t = traces_.get(job);
+        SimConfig cfg = job.config;
+        cfg.core.should_abort = &cancel_[s.slot];
+        end.result = run_simulation(cfg, t->view());
+      } catch (...) {
+        end.error = std::current_exception();
+      }
       {
         std::scoped_lock lock(mu_);
-        if (panic_) return;
-        const Clock::time_point now = Clock::now();
-        for (std::size_t k = 0; k < retries_.size(); ++k) {
-          if (retries_[k].due > now) continue;
-          PendingRetry r = std::move(retries_[k]);
-          retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(k));
-          st.index = r.index;
-          st.oc = std::move(r.oc);
-          st.t0 = r.t0;
-          ++active_jobs_;
-          have = true;
-          break;
-        }
-        while (!have && cursor_ < todo_.size()) {
-          const std::size_t i = todo_[cursor_++];
-          if (opt_.max_failures != 0 &&
-              failures_.load(std::memory_order_relaxed) >= opt_.max_failures) {
-            drained.push_back(i);
-            continue;
-          }
-          st.index = i;
-          st.t0 = Clock::now();
-          ++active_jobs_;
-          have = true;
-        }
+        done_.push_back(std::move(end));
       }
-      for (const std::size_t i : drained) {
-        SweepJobResult& out = rep_.jobs[i];
-        out.outcome.status = JobStatus::kSkipped;
-        out.outcome.attempts = 0;
-        traces_.finished(jobs_[i]);
-      }
-      if (!have) return;
-      st.slot = free_slots.back();
-      free_slots.pop_back();
-      st.cancel = std::make_unique<std::atomic<bool>>(false);
-      const unsigned slot = st.slot;
-      if (start_attempt(engine, st)) {
-        inflight.emplace(st.index, std::move(st));
-      } else {
-        free_slots.push_back(slot);
-      }
+      done_cv_.notify_one();
     }
   }
 
-  /// Starts the job's next attempt on this shard: pre-run fault hook,
-  /// deadline arm, trace acquisition, lane admission. Pre-run failures
-  /// are classified; transient ones with budget left go back on the
-  /// shared retry queue (no shard ever sleeps out a backoff), terminal
-  /// ones seal the job. Returns true when the lane was admitted.
-  bool start_attempt(LaneEngine& engine, InFlight& st) {
-    const Job& job = jobs_[st.index];
-    const std::uint32_t attempt = ++st.oc.attempts;
-    st.cancel->store(false, std::memory_order_relaxed);
-    const SweepFault* fault =
-        opt_.faults != nullptr ? opt_.faults->find(st.index, attempt) : nullptr;
-    try {
-      if (supervisor_ && opt_.job_deadline.count() > 0) {
-        supervisor_->arm(st.slot, st.cancel.get(),
-                         Clock::now() + opt_.job_deadline);
+  const std::vector<Job>& jobs_;
+  TraceCache& traces_;
+  std::vector<std::atomic<bool>> cancel_;  ///< one token per slot
+  std::mutex mu_;  ///< guards todo_, done_, stop_
+  std::condition_variable todo_cv_;
+  std::condition_variable done_cv_;
+  std::deque<Start> todo_;
+  std::deque<AttemptEnd> done_;
+  bool stop_ = false;
+  std::vector<std::thread> pool_;
+};
+
+/// Each attempt runs in a forked child under rlimit jails (src/sim/
+/// process_executor.h). The parent acquires the trace — the child
+/// inherits the mapping, so I/O damage surfaces here without forking —
+/// and holds it until the child is reaped, so a child that SIGSEGVs or
+/// is SIGKILLed cannot pin its mapping. Deadlines escalate by signal:
+/// SIGTERM (the child's handler flips its cancel token and it unwinds
+/// with its outcome intact), then SIGKILL once `kill_grace` expires.
+/// Starts no thread: fork() stays safe only in a single-threaded parent.
+class ChildRunner final : public AttemptRunner {
+ public:
+  ChildRunner(unsigned procs, const std::vector<Job>& jobs, TraceCache& traces,
+              const SweepOptions& opt)
+      : jobs_(jobs), traces_(traces), opt_(opt), held_(procs) {}
+
+  void start(unsigned slot, std::size_t index, const SweepFault* fault) override {
+    const Job& job = jobs_[index];
+    auto trace = traces_.get(job);
+    exec_.spawn(slot, job.config, trace->view(), fault,
+                ChildLimits{opt_.job_mem_mb, opt_.job_cpu_s});
+    held_[slot] = std::move(trace);
+  }
+
+  std::optional<AttemptEnd> wait(Clock::time_point until) override {
+    for (;;) {
+      if (std::optional<ProcessExecutor::Event> ev = exec_.poll()) {
+        const auto slot = static_cast<unsigned>(ev->key);
+        held_[slot].reset();
+        return AttemptEnd{slot, std::move(ev->result), ev->error, ev->fate,
+                          ev->signal, std::move(ev->crash)};
       }
-      if (fault != nullptr) {
-        switch (fault->kind) {
+      const Clock::time_point now = Clock::now();
+      if (now >= until) return std::nullopt;
+      std::this_thread::sleep_for(
+          std::min<Clock::duration>(std::chrono::milliseconds(2), until - now));
+    }
+  }
+
+  void cancel(unsigned slot) override { exec_.term(slot, opt_.kill_grace); }
+
+ private:
+  const std::vector<Job>& jobs_;
+  TraceCache& traces_;
+  const SweepOptions& opt_;
+  ProcessExecutor exec_;
+  std::vector<std::shared_ptr<const trace::TraceSource>> held_;
+};
+
+// -- the job state machine ---------------------------------------------------
+
+/// Owns every job's lifecycle, on the calling thread, whichever runner
+/// executes the attempts: the cursor and the due-time retry list (no
+/// worker ever sleeps out a backoff), the pre-run fault hooks, deadline
+/// expiry, attempt-end classification, drain-to-Skipped, and finalize —
+/// wall time, trace release, report slot, journal line, failure count.
+class SweepMachine {
+ public:
+  SweepMachine(const std::vector<Job>& jobs, std::vector<std::size_t> todo,
+               const SweepOptions& opt, SweepReport& rep, TraceCache& traces,
+               std::optional<CheckpointWriter>& journal)
+      : jobs_(jobs),
+        todo_(std::move(todo)),
+        opt_(opt),
+        rep_(rep),
+        traces_(traces),
+        journal_(journal) {}
+
+  /// Runs every job to an outcome through `runner`'s `slots` slots.
+  void run(AttemptRunner& runner, unsigned slots) {
+    runner_ = &runner;
+    slots_.assign(slots, std::nullopt);
+    for (unsigned s = slots; s-- > 0;) free_.push_back(s);
+    for (;;) {
+      admit();
+      if (free_.size() == slots_.size() && retries_.empty() &&
+          cursor_ >= todo_.size()) {
+        return;
+      }
+      if (std::optional<AttemptEnd> end = runner.wait(next_wake())) {
+        settle(*end);
+      }
+      expire_deadlines();
+    }
+  }
+
+ private:
+  struct JobState {
+    std::size_t index = 0;
+    JobOutcome oc;         ///< attempts so far, carried across retries
+    Clock::time_point t0;  ///< first attempt start
+    Clock::time_point deadline = kNever;  ///< running attempt's deadline
+    Clock::time_point due;                ///< waiting retry's start time
+  };
+
+  /// Fills free slots: due retries first (a backed-off job re-enters
+  /// ahead of fresh work), then fresh jobs off the cursor.
+  void admit() {
+    while (!free_.empty()) {
+      std::optional<JobState> js = take_next();
+      if (!js) return;
+      const unsigned slot = free_.back();
+      free_.pop_back();
+      start(slot, std::move(*js));
+    }
+  }
+
+  [[nodiscard]] std::optional<JobState> take_next() {
+    const Clock::time_point now = Clock::now();
+    for (auto it = retries_.begin(); it != retries_.end(); ++it) {
+      if (it->due > now) continue;
+      JobState js = std::move(*it);
+      retries_.erase(it);
+      return js;
+    }
+    while (cursor_ < todo_.size()) {
+      const std::size_t i = todo_[cursor_++];
+      // Drain: past the failure budget, remaining jobs report Skipped —
+      // an explicit outcome, never a zero-stat row.
+      if (opt_.max_failures != 0 && failures_ >= opt_.max_failures) {
+        rep_.jobs[i].outcome.status = JobStatus::kSkipped;
+        traces_.finished(jobs_[i]);
+        continue;
+      }
+      JobState js;
+      js.index = i;
+      js.t0 = now;
+      return js;
+    }
+    return std::nullopt;
+  }
+
+  /// Starts the job's next attempt: the pre-run fault hook, then the
+  /// runner. Injected throws and parent-side runner failures end the
+  /// attempt right here, through the same classification as any other.
+  void start(unsigned slot, JobState js) {
+    const std::size_t i = js.index;
+    const std::uint32_t attempt = ++js.oc.attempts;
+    slots_[slot] = std::move(js);
+    const SweepFault* in_attempt = nullptr;
+    try {
+      const SweepFault* f =
+          opt_.faults != nullptr ? opt_.faults->find(i, attempt) : nullptr;
+      if (f != nullptr) {
+        switch (f->kind) {
           case SweepFault::Kind::kThrowTransient:
             throw TransientFault("injected transient fault (job " +
-                                 std::to_string(st.index) + ", attempt " +
+                                 std::to_string(i) + ", attempt " +
                                  std::to_string(attempt) + ")");
           case SweepFault::Kind::kThrowDeterministic:
             throw std::logic_error("injected deterministic fault (job " +
-                                   std::to_string(st.index) + ", attempt " +
+                                   std::to_string(i) + ", attempt " +
                                    std::to_string(attempt) + ")");
-          case SweepFault::Kind::kDelay:
-            std::this_thread::sleep_for(fault->delay);
-            break;
           case SweepFault::Kind::kSpuriousWake:
-            if (supervisor_) supervisor_->spurious_wake();
+            wake_now_ = true;  // the next wait times out at once
             break;
           case SweepFault::Kind::kShortRead:
           case SweepFault::Kind::kBitFlipBlock:
-            // Armed on the trace path; the traces_.get below consumes
-            // it and surfaces the damage as TraceCorruptError.
-            arm_io_fault(job, *fault);
+            // The attempt's trace open consumes it and surfaces the
+            // damage as TraceCorruptError.
+            arm_io_fault(jobs_[i], *f);
             break;
+          case SweepFault::Kind::kDelay:
           case SweepFault::Kind::kCrash:
           case SweepFault::Kind::kOom:
           case SweepFault::Kind::kSpin:
           case SweepFault::Kind::kTornFrame:
+            in_attempt = f;
+            break;
           case SweepFault::Kind::kEnospcOnImport:
           case SweepFault::Kind::kTornImport:
-            // Unreachable: run_sweep rejects isolation-only and
-            // import-only kinds before any executor starts.
-            break;
+            break;  // unreachable: run_sweep rejects import-only kinds
         }
       }
-      st.trace = traces_.get(job);
-      SimConfig cfg = job.config;
-      cfg.core.should_abort = st.cancel.get();
-      engine.add(st.index, make_lane(cfg, st.trace->view()));
-      return true;
-    } catch (const trace::TraceCorruptError& e) {
-      if (supervisor_) supervisor_->disarm(st.slot);
-      fill_damage(st.oc, e);
-      finalize(st, std::current_exception(), nullptr);
-      return false;
+      runner_->start(slot, i, in_attempt);
     } catch (...) {
-      if (supervisor_) supervisor_->disarm(st.slot);
-      const std::exception_ptr error = std::current_exception();
-      const FailureClass cls = classify_failure(error);
-      if (cls == FailureClass::kTransient &&
-          attempt < opt_.retry.max_attempts) {
-        requeue(st);
-        return false;
-      }
-      st.oc.status = JobStatus::kFailed;
-      st.oc.failure = cls;
-      st.oc.what = what_of(error);
-      finalize(st, error, nullptr);
-      return false;
-    }
-  }
-
-  /// Handles a lane that retired by throwing: a cooperative abort is a
-  /// deadline expiry (terminal), a transient failure with attempts left
-  /// goes back on the shared retry queue, anything else is Failed.
-  void retry_or_finalize(InFlight& st, const std::exception_ptr& error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const core::SimulationAborted& e) {
-      st.oc.status = JobStatus::kTimedOut;
-      st.oc.what = e.what();
-      finalize(st, error, nullptr);
-      return;
-    } catch (const trace::TraceCorruptError& e) {
-      fill_damage(st.oc, e);
-      finalize(st, error, nullptr);
-      return;
-    } catch (...) {
-    }
-    const FailureClass cls = classify_failure(error);
-    if (cls == FailureClass::kTransient &&
-        st.oc.attempts < opt_.retry.max_attempts) {
-      st.trace.reset();  // dropped across the backoff; re-acquired on retry
-      requeue(st);
-      return;
-    }
-    st.oc.status = JobStatus::kFailed;
-    st.oc.failure = cls;
-    st.oc.what = what_of(error);
-    finalize(st, error, nullptr);
-  }
-
-  /// Queues the job's next attempt after backoff. Any shard may pick it
-  /// up; idle shards are woken so the earliest-due wait re-anchors.
-  void requeue(InFlight& st) {
-    PendingRetry r;
-    r.index = st.index;
-    r.oc = st.oc;
-    r.t0 = st.t0;
-    r.due = Clock::now() + opt_.retry.backoff_for(st.oc.attempts + 1);
-    {
-      std::scoped_lock lock(mu_);
-      retries_.push_back(std::move(r));
-      --active_jobs_;
-    }
-    cv_.notify_all();
-  }
-
-  /// Seals the job's slot in the report: wall clock, trace release,
-  /// journal append (completed only) and the failure tally for drain.
-  /// Each index is sealed by exactly one shard, so the report slot
-  /// needs no lock; the journal does.
-  void finalize(InFlight& st, const std::exception_ptr& error,
-                const SimResult* result) {
-    st.oc.wall_seconds = seconds_since(st.t0);
-    traces_.finished(jobs_[st.index]);
-    SweepJobResult& out = rep_.jobs[st.index];
-    out.outcome = st.oc;
-    out.error = error;
-    if (st.oc.status == JobStatus::kCompleted) {
-      out.result = *result;
-      if (journal_) {
-        std::scoped_lock lock(journal_mu_);
-        journal_->append_record(
-            encode_record(st.index, jobs_[st.index], st.oc, *result));
-      }
-    } else {
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      if (st.oc.status == JobStatus::kTraceDamaged && journal_) {
-        std::scoped_lock lock(journal_mu_);
-        journal_->append_damaged(
-            encode_damaged(st.index, jobs_[st.index], st.oc));
-      }
-    }
-    {
-      std::scoped_lock lock(mu_);
-      --active_jobs_;
-    }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] bool done_locked() const {
-    return cursor_ >= todo_.size() && retries_.empty() && active_jobs_ == 0;
-  }
-
-  [[nodiscard]] Clock::time_point earliest_due_locked() const {
-    Clock::time_point due = Clock::time_point::max();
-    for (const PendingRetry& r : retries_) due = std::min(due, r.due);
-    return due;
-  }
-
-  const std::vector<Job>& jobs_;
-  const std::vector<std::size_t>& todo_;
-  const SweepOptions& opt_;
-  SweepReport& rep_;
-  TraceCache& traces_;
-  std::optional<DeadlineSupervisor>& supervisor_;
-  std::optional<CheckpointWriter>& journal_;
-  const unsigned lanes_per_shard_;
-  const unsigned shards_;
-  const std::uint64_t turn_;
-
-  std::mutex mu_;  ///< guards cursor_, retries_, active_jobs_, panic_
-  std::condition_variable cv_;
-  std::size_t cursor_ = 0;      ///< next index into todo_
-  std::vector<PendingRetry> retries_;
-  std::size_t active_jobs_ = 0;  ///< jobs currently owned by a shard
-  std::exception_ptr panic_;
-  std::mutex journal_mu_;
-  std::atomic<std::size_t> failures_{0};
-};
-
-/// Process-isolated executor (SweepOptions::isolate_procs): each job
-/// runs in a forked child under rlimit jails, supervised by this
-/// single-threaded policy loop. The job lifecycle mirrors the other
-/// executors — same fault hooks (isolation-only kinds execute inside
-/// the child), same transient-retry policy (retries wait non-blocking
-/// on a due list so live children keep getting reaped), same drain and
-/// journal semantics — plus the outcomes only a process boundary can
-/// produce: Crashed (fatal signal, quarantined in the journal with its
-/// forensics record), ResourceExceeded (rlimit jail or OOM kill), and
-/// hard-kill TimedOut for children that ignore the SIGTERM grace.
-/// Deadlines are enforced right here by escalation (SIGTERM → grace →
-/// SIGKILL), not by the DeadlineSupervisor thread: the parent stays
-/// single-threaded so fork() is safe, and a stuck child needs signals,
-/// not a token it will never poll. Completed results round-trip through
-/// the hexfloat frame codec and are bit-identical to the pool's.
-class IsolateExecutor {
- public:
-  IsolateExecutor(const std::vector<Job>& jobs,
-                  const std::vector<std::size_t>& todo,
-                  const SweepOptions& opt, SweepReport& rep,
-                  TraceCache& traces,
-                  std::optional<CheckpointWriter>& journal)
-      : jobs_(jobs),
-        todo_(todo),
-        opt_(opt),
-        rep_(rep),
-        traces_(traces),
-        journal_(journal),
-        procs_(std::max(1U, opt.isolate_procs)) {}
-
-  void run() {
-    for (;;) {
-      start_due_retries();
-      refill();
-      if (inflight_.empty() && retries_.empty() && cursor_ >= todo_.size()) {
-        return;
-      }
-      enforce_deadlines();
-      if (auto ev = exec_.poll()) {
-        handle(*ev);
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-
- private:
-  struct InFlight {
-    std::size_t index = 0;
-    JobOutcome oc;
-    /// Keeps the trace mapping alive in the parent while the child
-    /// reads the inherited copy; released on reap via finalize().
-    std::shared_ptr<const trace::TraceSource> trace;
-    Clock::time_point job_t0;                        ///< first attempt start
-    Clock::time_point deadline = Clock::time_point::max();
-    Clock::time_point kill_at = Clock::time_point::max();
-    bool termed = false;
-  };
-
-  struct PendingRetry {
-    std::size_t index = 0;
-    JobOutcome oc;  ///< attempts so far carried across the backoff
-    Clock::time_point job_t0;
-    Clock::time_point due;
-  };
-
-  /// Admits fresh jobs until the process slots are full.
-  void refill() {
-    while (inflight_.size() < procs_ && cursor_ < todo_.size()) {
-      const std::size_t i = todo_[cursor_++];
-      if (opt_.max_failures != 0 && failures_ >= opt_.max_failures) {
-        SweepJobResult& out = rep_.jobs[i];
-        out.outcome.status = JobStatus::kSkipped;
-        out.outcome.attempts = 0;
-        traces_.finished(jobs_[i]);
-        continue;
-      }
-      InFlight st;
-      st.index = i;
-      st.job_t0 = Clock::now();
-      spawn_attempt(std::move(st));
-    }
-  }
-
-  void start_due_retries() {
-    const Clock::time_point now = Clock::now();
-    for (std::size_t k = 0; k < retries_.size();) {
-      if (inflight_.size() >= procs_ || retries_[k].due > now) {
-        ++k;
-        continue;
-      }
-      PendingRetry r = std::move(retries_[k]);
-      retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(k));
-      InFlight st;
-      st.index = r.index;
-      st.oc = std::move(r.oc);
-      st.job_t0 = r.job_t0;
-      spawn_attempt(std::move(st));
-    }
-  }
-
-  /// Starts the next attempt for `st` (its attempts count is the number
-  /// already made). Parent-side failures — trace build, pipe, fork —
-  /// are classified like any job failure: transient ones go on the
-  /// retry list, terminal ones seal the slot.
-  void spawn_attempt(InFlight st) {
-    const std::size_t i = st.index;
-    const Job& job = jobs_[i];
-    const std::uint32_t attempt = ++st.oc.attempts;
-    const SweepFault* fault =
-        opt_.faults != nullptr ? opt_.faults->find(i, attempt) : nullptr;
-    try {
-      // I/O faults fire against the parent-side trace open (the parent
-      // acquires the trace and the child inherits the mapping), so
-      // damage is detected here and never even forks a child.
-      if (fault != nullptr && SweepFault::is_io_fault(fault->kind)) {
-        arm_io_fault(job, *fault);
-        fault = nullptr;  // nothing left for the child to perform
-      }
-      st.trace = traces_.get(job);
-      exec_.spawn(i, job.config, st.trace->view(), fault,
-                  ChildLimits{opt_.job_mem_mb, opt_.job_cpu_s});
-    } catch (const trace::TraceCorruptError& e) {
-      fill_damage(st.oc, e);
-      finalize(st, std::current_exception(), nullptr);
-      return;
-    } catch (...) {
-      const std::exception_ptr error = std::current_exception();
-      if (!retry_later(st, classify_failure(error))) {
-        st.oc.status = JobStatus::kFailed;
-        st.oc.failure = classify_failure(error);
-        st.oc.what = what_of(error);
-        finalize(st, error, nullptr);
-      }
+      AttemptEnd end;
+      end.slot = slot;
+      end.error = std::current_exception();
+      settle(end);
       return;
     }
     if (opt_.job_deadline.count() > 0) {
-      st.deadline = Clock::now() + opt_.job_deadline;
+      slots_[slot]->deadline = Clock::now() + opt_.job_deadline;
     }
-    inflight_.emplace(i, std::move(st));
   }
 
-  /// Queues another attempt after backoff when the failure was
-  /// transient and the budget allows; returns false when terminal.
-  bool retry_later(InFlight& st, FailureClass cls) {
-    if (cls != FailureClass::kTransient ||
-        st.oc.attempts >= opt_.retry.max_attempts) {
-      return false;
+  /// The earliest moment the loop must act without a runner event: a
+  /// deadline, a due retry when a slot is free to take it, or — after an
+  /// injected spurious wake — now.
+  [[nodiscard]] Clock::time_point next_wake() {
+    if (std::exchange(wake_now_, false)) return Clock::now();
+    Clock::time_point t = kNever;
+    for (const std::optional<JobState>& s : slots_) {
+      if (s) t = std::min(t, s->deadline);
     }
-    PendingRetry r;
-    r.index = st.index;
-    r.oc = st.oc;
-    r.job_t0 = st.job_t0;
-    r.due = Clock::now() + opt_.retry.backoff_for(st.oc.attempts + 1);
-    retries_.push_back(std::move(r));
-    return true;
+    if (!free_.empty()) {
+      for (const JobState& r : retries_) t = std::min(t, r.due);
+    }
+    return t;
   }
 
-  /// Deadline escalation: SIGTERM at the deadline (the child's handler
-  /// flips its cancel token; a cooperative child unwinds into an
-  /// "aborted" frame), SIGKILL once the grace expires.
-  void enforce_deadlines() {
+  void expire_deadlines() {
     const Clock::time_point now = Clock::now();
-    for (auto& [key, st] : inflight_) {
-      if (!st.termed && now >= st.deadline) {
-        st.termed = true;
-        st.kill_at = now + opt_.kill_grace;
-        exec_.term(key);
-      } else if (st.termed && now >= st.kill_at) {
-        exec_.kill(key);
+    for (unsigned slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_[slot] && slots_[slot]->deadline <= now) {
+        slots_[slot]->deadline = kNever;  // cancelled once
+        runner_->cancel(slot);
       }
     }
   }
 
-  /// Maps a reaped child's fate into the outcome taxonomy.
-  void handle(const ProcessExecutor::Event& ev) {
-    auto node = inflight_.extract(ev.key);
-    InFlight& st = node.mapped();
-    using Fate = ProcessExecutor::FateKind;
-    st.oc.term_signal = ev.signal;
-    switch (ev.fate) {
-      case Fate::kResult:
-        st.oc.status = JobStatus::kCompleted;
-        finalize(st, nullptr, &ev.result);
-        return;
-      case Fate::kError:
-        if (ev.error_class == kErrAborted) {
-          // Only the deadline SIGTERM flips the child's token, so an
-          // aborted frame is a deadline expiry that unwound cleanly.
-          st.oc.status = JobStatus::kTimedOut;
-          st.oc.what = ev.what;
-          finalize(st,
-                   std::make_exception_ptr(core::SimulationAborted(ev.what)),
-                   nullptr);
-          return;
-        }
-        if (ev.error_class == kErrResource) {
-          st.oc.status = JobStatus::kResourceExceeded;
-          st.oc.failure = FailureClass::kDeterministic;
-          st.oc.what = ev.what;
-          finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                   nullptr);
-          return;
-        }
-        if (ev.error_class == kErrTransient &&
-            retry_later(st, FailureClass::kTransient)) {
-          traces_release_only(st);
-          return;
-        }
-        st.oc.status = JobStatus::kFailed;
-        st.oc.failure = ev.error_class == kErrTransient
-                            ? FailureClass::kTransient
-                            : FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        finalize(st,
-                 ev.error_class == kErrTransient
-                     ? std::make_exception_ptr(TransientFault(ev.what))
-                     : std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kKilled:
-        st.oc.status = JobStatus::kTimedOut;
-        st.oc.what = ev.what;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kCrashed:
-        st.oc.status = JobStatus::kCrashed;
-        st.oc.failure = FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        st.oc.crash = ev.crash;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kResourceExceeded:
-        st.oc.status = JobStatus::kResourceExceeded;
-        st.oc.failure = FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kBadFrame:
-      case Fate::kBadExit:
-        st.oc.status = JobStatus::kFailed;
-        st.oc.failure = FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
+  /// Attempt-end classification: a cancelled attempt is a deadline
+  /// expiry (only deadlines cancel, and the same job would spend the
+  /// same wall clock again), trace damage is deterministic, a transient
+  /// failure within the retry budget requeues after backoff, and
+  /// anything else fails the job.
+  void settle(AttemptEnd& end) {
+    JobState js = std::move(*slots_[end.slot]);
+    slots_[end.slot].reset();
+    free_.push_back(end.slot);
+    JobOutcome& oc = js.oc;
+    oc.term_signal = end.signal;
+    if (end.fate) {
+      oc.status = *end.fate;
+      oc.failure = oc.status == JobStatus::kTimedOut
+                       ? FailureClass::kNone
+                       : FailureClass::kDeterministic;
+      oc.what = what_of(end.error);
+      oc.crash = std::move(end.crash);
+      finalize(js, end.error, nullptr);
+      return;
     }
+    if (!end.error) {
+      oc.status = JobStatus::kCompleted;
+      finalize(js, nullptr, &end.result);
+      return;
+    }
+    try {
+      std::rethrow_exception(end.error);
+    } catch (const core::SimulationAborted& e) {
+      oc.status = JobStatus::kTimedOut;
+      oc.what = e.what();
+      finalize(js, end.error, nullptr);
+      return;
+    } catch (const trace::TraceCorruptError& e) {
+      fill_damage(oc, e);
+      finalize(js, end.error, nullptr);
+      return;
+    } catch (...) {
+    }
+    const FailureClass cls = classify_failure(end.error);
+    if (cls == FailureClass::kTransient &&
+        oc.attempts < opt_.retry.max_attempts) {
+      js.due = Clock::now() + opt_.retry.backoff_for(oc.attempts + 1);
+      retries_.push_back(std::move(js));
+      return;
+    }
+    oc.status = JobStatus::kFailed;
+    oc.failure = cls;
+    oc.what = what_of(end.error);
+    finalize(js, end.error, nullptr);
   }
 
-  /// A retried job drops its trace reference across the backoff (the
-  /// cache keeps the source; the next attempt re-acquires it) without
-  /// decrementing the cache's pending count — that happens exactly once
-  /// per job, in finalize().
-  void traces_release_only(InFlight& st) { st.trace.reset(); }
-
-  /// Seals the job's report slot. This is the residency-leak fix for
-  /// child-failure paths: the *parent* releases the trace when it reaps
-  /// the child, so a job that SIGSEGVs or gets SIGKILLed cannot pin its
-  /// mapping for the rest of the sweep. Crashed jobs are quarantined in
-  /// the journal so a resume skips the known-poison job.
-  void finalize(InFlight& st, const std::exception_ptr& error,
+  /// Seals the job's report slot and journals it: 'R' for a completed
+  /// job, 'Q' (quarantine) for a crashed one so a resume skips the
+  /// known-poison job, 'D' for trace damage so a resume seals it.
+  void finalize(JobState& js, const std::exception_ptr& error,
                 const SimResult* result) {
-    st.oc.wall_seconds = seconds_since(st.job_t0);
-    traces_.finished(jobs_[st.index]);
-    SweepJobResult& out = rep_.jobs[st.index];
-    out.outcome = st.oc;
+    js.oc.wall_seconds = seconds_since(js.t0);
+    const Job& job = jobs_[js.index];
+    traces_.finished(job);
+    SweepJobResult& out = rep_.jobs[js.index];
+    out.outcome = std::move(js.oc);
     out.error = error;
-    if (st.oc.status == JobStatus::kCompleted) {
+    const JobOutcome& oc = out.outcome;
+    if (oc.status == JobStatus::kCompleted) {
       out.result = *result;
       if (journal_) {
-        journal_->append_record(
-            encode_record(st.index, jobs_[st.index], st.oc, *result));
+        journal_->append_record(encode_head(js.index, job, oc) +
+                                serialize_sim_result(*result));
       }
-    } else {
-      ++failures_;
-      if (st.oc.status == JobStatus::kCrashed && journal_) {
-        journal_->append_quarantine(
-            encode_quarantine(st.index, jobs_[st.index], st.oc));
+      return;
+    }
+    ++failures_;
+    if (!journal_) return;
+    std::ostringstream os;
+    os << encode_head(js.index, job, oc);
+    if (oc.status == JobStatus::kCrashed) {
+      os << oc.crash.signal << '\t' << std::hex << oc.crash.fault_addr
+         << std::dec << '\t';
+      for (std::size_t f = 0; f < oc.crash.frames.size(); ++f) {
+        os << (f != 0 ? "\x1f" : "") << oc.crash.frames[f];
       }
-      if (st.oc.status == JobStatus::kTraceDamaged && journal_) {
-        journal_->append_damaged(
-            encode_damaged(st.index, jobs_[st.index], st.oc));
-      }
+      journal_->append_quarantine(os.str());
+    } else if (oc.status == JobStatus::kTraceDamaged) {
+      os << trace::trace_damage_name(oc.damage) << '\t' << oc.damage_block
+         << '\t' << oc.damage_offset;
+      journal_->append_damaged(os.str());
     }
   }
 
   const std::vector<Job>& jobs_;
-  const std::vector<std::size_t>& todo_;
+  const std::vector<std::size_t> todo_;
   const SweepOptions& opt_;
   SweepReport& rep_;
   TraceCache& traces_;
   std::optional<CheckpointWriter>& journal_;
-  ProcessExecutor exec_;
-  std::map<std::uint64_t, InFlight> inflight_;
-  std::vector<PendingRetry> retries_;
-  std::size_t procs_;
-  std::size_t cursor_ = 0;   ///< next index into todo_
+  AttemptRunner* runner_ = nullptr;
+  std::vector<std::optional<JobState>> slots_;  ///< running attempts
+  std::vector<unsigned> free_;                  ///< idle slots
+  std::vector<JobState> retries_;               ///< waiting out a backoff
+  std::size_t cursor_ = 0;                      ///< next index into todo_
   std::size_t failures_ = 0;
+  bool wake_now_ = false;  ///< an injected spurious wake is pending
 };
+
+/// Loads a resume journal into the report; returns which jobs it sealed.
+[[nodiscard]] std::vector<bool> load_journal(const std::vector<Job>& jobs,
+                                             const std::string& path,
+                                             std::uint64_t fingerprint,
+                                             SweepReport& rep) {
+  CheckpointContents c = load_checkpoint(path);
+  if (c.njobs != jobs.size() || c.fingerprint != fingerprint) {
+    throw CheckpointError(
+        path +
+        ": checkpoint belongs to a different sweep (job list or "
+        "configuration changed) — delete it or fix the command line");
+  }
+  rep.checkpoint_lines_ignored = c.ignored_lines;
+  std::vector<bool> done(jobs.size(), false);
+  // Seals the decoded line's job from the journal; null (the line is
+  // ignored) when it was torn, names a foreign job, or the job is
+  // already sealed by an earlier line.
+  auto claim = [&](bool decoded, const DecodedHead& d) -> JobOutcome* {
+    if (!decoded || d.index >= jobs.size() ||
+        d.program != jobs[d.index].program || d.tag != jobs[d.index].tag ||
+        done[d.index]) {
+      ++rep.checkpoint_lines_ignored;
+      return nullptr;
+    }
+    done[d.index] = true;
+    JobOutcome& oc = rep.jobs[d.index].outcome;
+    oc.attempts = d.attempts;
+    oc.wall_seconds = d.wall_seconds;
+    oc.from_checkpoint = true;
+    return &oc;
+  };
+  for (const std::string& payload : c.records) {
+    DecodedHead d;
+    SimResult result;
+    const bool ok =
+        decode_head(payload, 0, d) && parse_sim_result(d.rest[0], result);
+    if (JobOutcome* oc = claim(ok, d)) {
+      oc->status = JobStatus::kCompleted;
+      rep.jobs[d.index].result = result;
+    }
+  }
+  // Quarantine records: a previous run's child crashed on this job.
+  // Deterministic by definition — re-running replays the crash — so the
+  // job is sealed as Crashed instead of re-attempted, whichever runner
+  // the resume uses.
+  for (const std::string& payload : c.quarantined) {
+    DecodedHead d;
+    std::uint64_t sig = 0;
+    CrashRecord crash;
+    const bool ok = decode_head(payload, 2, d) &&
+                    parse_uint(d.rest[0], 10, sig) && sig != 0 &&
+                    parse_uint(d.rest[1], 16, crash.fault_addr);
+    JobOutcome* oc = claim(ok, d);
+    if (oc == nullptr) continue;
+    crash.signal = static_cast<int>(sig);
+    const std::string& frames = d.rest[2];
+    for (std::size_t from = 0; from < frames.size();) {
+      std::size_t sep = frames.find('\x1f', from);
+      if (sep == std::string::npos) sep = frames.size();
+      if (sep > from) crash.frames.push_back(frames.substr(from, sep - from));
+      from = sep + 1;
+    }
+    oc->status = JobStatus::kCrashed;
+    oc->failure = FailureClass::kDeterministic;
+    oc->term_signal = crash.signal;
+    oc->what = "child crashed with " + signal_name(crash.signal) +
+               " (quarantined by a previous run)";
+    oc->crash = std::move(crash);
+  }
+  // Trace-damage records: a previous run verified that this job's replay
+  // range touches corrupt blocks. Deterministic — the file doesn't heal —
+  // so the job seals as TraceDamaged, not re-run.
+  for (const std::string& payload : c.damaged) {
+    DecodedHead d;
+    trace::TraceDamage damage = trace::TraceDamage::kNone;
+    std::uint64_t block = 0;
+    std::uint64_t offset = 0;
+    bool ok = decode_head(payload, 2, d) && parse_uint(d.rest[1], 10, block) &&
+              parse_uint(d.rest[2], 10, offset);
+    for (const trace::TraceDamage k :
+         {trace::TraceDamage::kTornTail, trace::TraceDamage::kInteriorCorrupt,
+          trace::TraceDamage::kBadIndex}) {
+      if (ok && d.rest[0] == trace::trace_damage_name(k)) damage = k;
+    }
+    JobOutcome* oc = claim(ok && damage != trace::TraceDamage::kNone, d);
+    if (oc == nullptr) continue;
+    oc->status = JobStatus::kTraceDamaged;
+    oc->failure = FailureClass::kDeterministic;
+    oc->damage = damage;
+    oc->damage_block = block;
+    oc->damage_offset = offset;
+    oc->what = std::string("trace damage (") +
+               trace::trace_damage_name(damage) +
+               ") quarantined by a previous run";
+  }
+  return done;
+}
 
 }  // namespace
 
@@ -1142,18 +826,6 @@ std::uint64_t sweep_fingerprint(const std::vector<Job>& jobs) {
 }
 
 SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
-  if (opt.lanes != 0 && opt.isolate_procs != 0) {
-    throw std::invalid_argument(
-        "lanes and isolate_procs are mutually exclusive executors");
-  }
-  if (opt.lane_shards != 0 && opt.lanes == 0) {
-    throw std::invalid_argument(
-        "lane_shards requires the batched-lane executor (lanes)");
-  }
-  if (opt.lane_turn != 0 && opt.lanes == 0) {
-    throw std::invalid_argument(
-        "lane_turn requires the batched-lane executor (lanes)");
-  }
   if (opt.faults != nullptr) {
     for (const SweepFault& f : opt.faults->faults) {
       if (SweepFault::needs_isolation(f.kind) && opt.isolate_procs == 0) {
@@ -1183,9 +855,6 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
       }
     }
   }
-  unsigned threads = opt.threads != 0 ? opt.threads : bench_threads();
-  threads = std::max(1U, std::min<unsigned>(
-                             threads, static_cast<unsigned>(jobs.size()) + 1));
 
   SweepReport rep;
   rep.jobs.resize(jobs.size());
@@ -1198,79 +867,7 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
     require_journalable(jobs);
     const std::uint64_t fingerprint = sweep_fingerprint(jobs);
     if (opt.resume && std::filesystem::exists(opt.checkpoint_path)) {
-      CheckpointContents c = load_checkpoint(opt.checkpoint_path);
-      if (c.njobs != jobs.size() || c.fingerprint != fingerprint) {
-        throw CheckpointError(
-            opt.checkpoint_path +
-            ": checkpoint belongs to a different sweep (job list or "
-            "configuration changed) — delete it or fix the command line");
-      }
-      rep.checkpoint_lines_ignored = c.ignored_lines;
-      for (const std::string& payload : c.records) {
-        DecodedRecord rec;
-        if (!decode_record(payload, rec) || rec.index >= jobs.size() ||
-            rec.program != jobs[rec.index].program ||
-            rec.tag != jobs[rec.index].tag) {
-          ++rep.checkpoint_lines_ignored;
-          continue;
-        }
-        SweepJobResult& out = rep.jobs[rec.index];
-        out.result = rec.result;
-        out.outcome.status = JobStatus::kCompleted;
-        out.outcome.attempts = rec.attempts;
-        out.outcome.wall_seconds = rec.wall_seconds;
-        out.outcome.from_checkpoint = true;
-        done[rec.index] = true;
-      }
-      // Quarantine records: a previous run's child crashed on this job.
-      // Deterministic by definition — re-running replays the crash — so
-      // the job is sealed as Crashed instead of re-attempted, whichever
-      // executor the resume uses.
-      for (const std::string& payload : c.quarantined) {
-        DecodedQuarantine q;
-        if (!decode_quarantine(payload, q) || q.index >= jobs.size() ||
-            q.program != jobs[q.index].program ||
-            q.tag != jobs[q.index].tag || done[q.index]) {
-          ++rep.checkpoint_lines_ignored;
-          continue;
-        }
-        SweepJobResult& out = rep.jobs[q.index];
-        out.outcome.status = JobStatus::kCrashed;
-        out.outcome.failure = FailureClass::kDeterministic;
-        out.outcome.attempts = q.attempts;
-        out.outcome.wall_seconds = q.wall_seconds;
-        out.outcome.from_checkpoint = true;
-        out.outcome.term_signal = q.crash.signal;
-        out.outcome.what = "child crashed with " + signal_name(q.crash.signal) +
-                           " (quarantined by a previous run)";
-        out.outcome.crash = std::move(q.crash);
-        done[q.index] = true;
-      }
-      // Trace-damage records: a previous run verified that this job's
-      // replay range touches corrupt blocks. Deterministic — the file
-      // doesn't heal — so the job seals as TraceDamaged, not re-run.
-      for (const std::string& payload : c.damaged) {
-        DecodedDamage d;
-        if (!decode_damaged(payload, d) || d.index >= jobs.size() ||
-            d.program != jobs[d.index].program ||
-            d.tag != jobs[d.index].tag || done[d.index]) {
-          ++rep.checkpoint_lines_ignored;
-          continue;
-        }
-        SweepJobResult& out = rep.jobs[d.index];
-        out.outcome.status = JobStatus::kTraceDamaged;
-        out.outcome.failure = FailureClass::kDeterministic;
-        out.outcome.attempts = d.attempts;
-        out.outcome.wall_seconds = d.wall_seconds;
-        out.outcome.from_checkpoint = true;
-        out.outcome.damage = d.damage;
-        out.outcome.damage_block = d.block;
-        out.outcome.damage_offset = d.offset;
-        out.outcome.what =
-            std::string("trace damage (") + trace::trace_damage_name(d.damage) +
-            ") quarantined by a previous run";
-        done[d.index] = true;
-      }
+      done = load_journal(jobs, opt.checkpoint_path, fingerprint, rep);
       journal = CheckpointWriter::append_to(opt.checkpoint_path);
     } else {
       journal = CheckpointWriter::create(opt.checkpoint_path, jobs.size(),
@@ -1282,180 +879,20 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (!done[i]) todo.push_back(i);
   }
+  const auto runnable =
+      static_cast<unsigned>(std::max<std::size_t>(1, todo.size()));
 
   TraceCache traces(jobs, done);
-  // Shard count for the lane executor: explicit lane_shards, else the
-  // host's bench parallelism, clamped to the runnable job count (a
-  // shard with nothing to ever run is pure thread-spawn overhead).
-  unsigned lane_shards = 0;
-  if (opt.lanes != 0) {
-    lane_shards = opt.lane_shards != 0 ? opt.lane_shards : bench_threads();
-    lane_shards = std::max(
-        1U, std::min<unsigned>(lane_shards,
-                               static_cast<unsigned>(std::max<std::size_t>(
-                                   1, todo.size()))));
-  }
-  const bool wants_wake_faults =
-      opt.faults != nullptr &&
-      std::any_of(opt.faults->faults.begin(), opt.faults->faults.end(),
-                  [](const SweepFault& f) {
-                    return f.kind == SweepFault::Kind::kSpuriousWake;
-                  });
-  // Isolate mode enforces deadlines by signal escalation in the parent
-  // loop, and the parent must stay single-threaded so fork() is safe —
-  // no supervisor thread.
-  std::optional<DeadlineSupervisor> supervisor;
-  if (opt.isolate_procs == 0 &&
-      (opt.job_deadline.count() > 0 || wants_wake_faults)) {
-    supervisor.emplace(opt.lanes != 0 ? lane_shards * std::max(1U, opt.lanes)
-                                      : threads);
-  }
-
+  SweepMachine machine(jobs, std::move(todo), opt, rep, traces, journal);
   if (opt.isolate_procs != 0) {
-    IsolateExecutor(jobs, todo, opt, rep, traces, journal).run();
-    rep.trace_resident_high_water = traces.resident_high_water();
-    tally(rep);
-    return rep;
+    ChildRunner runner(opt.isolate_procs, jobs, traces, opt);
+    machine.run(runner, opt.isolate_procs);
+  } else {
+    const unsigned threads = std::min(
+        runnable, opt.threads != 0 ? opt.threads : bench_threads());
+    ThreadRunner runner(threads, jobs, traces);
+    machine.run(runner, threads);
   }
-
-  if (opt.lanes != 0) {
-    LaneExecutor(jobs, todo, opt, rep, traces, supervisor, journal,
-                 lane_shards)
-        .run();
-    rep.trace_resident_high_water = traces.resident_high_water();
-    tally(rep);
-    return rep;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> failures{0};
-  std::mutex journal_mu;
-
-  auto worker = [&](unsigned slot) {
-    std::atomic<bool> cancel{false};
-    for (;;) {
-      const std::size_t k = next.fetch_add(1);
-      if (k >= todo.size()) return;
-      const std::size_t i = todo[k];
-      const Job& job = jobs[i];
-      SweepJobResult& out = rep.jobs[i];
-
-      // Drain semantics: past the failure budget, remaining jobs are
-      // reported Skipped — an explicit outcome, never a zero-stat row.
-      if (opt.max_failures != 0 &&
-          failures.load(std::memory_order_relaxed) >= opt.max_failures) {
-        out.outcome.status = JobStatus::kSkipped;
-        out.outcome.attempts = 0;
-        traces.finished(job);
-        continue;
-      }
-
-      JobOutcome oc;
-      std::exception_ptr error;
-      SimResult result;
-      const auto job_t0 = Clock::now();
-      for (std::uint32_t attempt = 1;; ++attempt) {
-        oc.attempts = attempt;
-        cancel.store(false, std::memory_order_relaxed);
-        const SweepFault* fault =
-            opt.faults != nullptr ? opt.faults->find(i, attempt) : nullptr;
-        try {
-          if (supervisor && opt.job_deadline.count() > 0) {
-            supervisor->arm(slot, &cancel, Clock::now() + opt.job_deadline);
-          }
-          if (fault != nullptr) {
-            switch (fault->kind) {
-              case SweepFault::Kind::kThrowTransient:
-                throw TransientFault("injected transient fault (job " +
-                                     std::to_string(i) + ", attempt " +
-                                     std::to_string(attempt) + ")");
-              case SweepFault::Kind::kThrowDeterministic:
-                throw std::logic_error("injected deterministic fault (job " +
-                                       std::to_string(i) + ", attempt " +
-                                       std::to_string(attempt) + ")");
-              case SweepFault::Kind::kDelay:
-                std::this_thread::sleep_for(fault->delay);
-                break;
-              case SweepFault::Kind::kSpuriousWake:
-                if (supervisor) supervisor->spurious_wake();
-                break;
-              case SweepFault::Kind::kShortRead:
-              case SweepFault::Kind::kBitFlipBlock:
-                arm_io_fault(job, *fault);
-                break;
-              case SweepFault::Kind::kCrash:
-              case SweepFault::Kind::kOom:
-              case SweepFault::Kind::kSpin:
-              case SweepFault::Kind::kTornFrame:
-              case SweepFault::Kind::kEnospcOnImport:
-              case SweepFault::Kind::kTornImport:
-                // Unreachable: run_sweep rejects isolation-only and
-                // import-only kinds before any executor starts.
-                break;
-            }
-          }
-          const auto t = traces.get(job);
-          SimConfig cfg = job.config;
-          cfg.core.should_abort = &cancel;
-          result = run_simulation(cfg, t->view());
-          if (supervisor) supervisor->disarm(slot);
-          oc.status = JobStatus::kCompleted;
-          break;
-        } catch (const core::SimulationAborted& e) {
-          // Only the deadline supervisor sets this job's token, so an
-          // abort is by definition a deadline expiry. Terminal: the
-          // same job would spend the same wall clock again.
-          if (supervisor) supervisor->disarm(slot);
-          oc.status = JobStatus::kTimedOut;
-          oc.what = e.what();
-          error = std::current_exception();
-          break;
-        } catch (const trace::TraceCorruptError& e) {
-          if (supervisor) supervisor->disarm(slot);
-          fill_damage(oc, e);
-          error = std::current_exception();
-          break;
-        } catch (...) {
-          if (supervisor) supervisor->disarm(slot);
-          error = std::current_exception();
-          const FailureClass cls = classify_failure(error);
-          if (cls == FailureClass::kTransient &&
-              attempt < opt.retry.max_attempts) {
-            std::this_thread::sleep_for(opt.retry.backoff_for(attempt + 1));
-            continue;
-          }
-          oc.status = JobStatus::kFailed;
-          oc.failure = cls;
-          oc.what = what_of(error);
-          break;
-        }
-      }
-      oc.wall_seconds = seconds_since(job_t0);
-      traces.finished(job);
-
-      out.outcome = oc;
-      out.error = error;
-      if (oc.status == JobStatus::kCompleted) {
-        out.result = result;
-        if (journal) {
-          std::scoped_lock lock(journal_mu);
-          journal->append_record(encode_record(i, job, oc, result));
-        }
-      } else {
-        failures.fetch_add(1, std::memory_order_relaxed);
-        if (oc.status == JobStatus::kTraceDamaged && journal) {
-          std::scoped_lock lock(journal_mu);
-          journal->append_damaged(encode_damaged(i, job, oc));
-        }
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned s = 0; s < threads; ++s) pool.emplace_back(worker, s);
-  for (auto& th : pool) th.join();
-
   rep.trace_resident_high_water = traces.resident_high_water();
   tally(rep);
   return rep;

@@ -1,51 +1,30 @@
-// Supervised sweep scheduler: runs (config, trace) jobs over a worker
-// pool where a failing job is an *outcome*, not a poison pill.
-//
-// The fail-fast pool this replaces (run_jobs pre-PR 6) parked the first
-// exception, stopped handing out work and rethrew after join — one
-// malformed trace discarded every completed result with no partial
-// output, no retry and no way to resume. Here every job ends in a
-// structured JobOutcome:
-//
-//   Completed — result is valid (run live, or loaded from a checkpoint)
-//   Failed    — all attempts exhausted; carries the failure class,
-//               error text and the exception for programmatic rethrow
-//   TimedOut  — the per-job wall-clock deadline fired; the core observed
-//               the cooperative cancellation token and unwound (or, under
-//               process isolation, the parent hard-killed the child after
-//               the SIGTERM grace expired)
-//   Skipped   — never attempted (the sweep drained after max_failures)
-//   Crashed   — process isolation only: the child died on a fatal signal
-//               (SIGSEGV/SIGBUS/SIGABRT/...); deterministic by
-//               definition, quarantined in the checkpoint journal so a
-//               resume skips the known-poison job, and carries a crash
-//               forensics record when the child's handler got one out
-//   ResourceExceeded — process isolation only: the child hit its
-//               resource jail (RLIMIT_AS allocation failure, RLIMIT_CPU
-//               SIGXCPU, or a kernel OOM kill)
-//   TraceDamaged — the job's replay range touched corrupt trace blocks
-//               (trace::TraceCorruptError: torn tail, interior
-//               corruption or a bad index). Deterministic by definition
-//               — the bytes on disk don't heal on retry — so the job is
-//               journaled with a 'D' record and a resume seals it
-//               instead of re-running it. Jobs whose ranges avoid the
-//               damage complete normally with bit-identical results.
+// Supervised sweep scheduler: runs (config, trace) jobs so that a failing
+// job is an *outcome* (JobStatus), not a poison pill — one bad trace never
+// discards the completed results.
 //
 // Failures are classified transient (bad_alloc, TraceFormatError — e.g.
 // a trace still being written or an I/O flake — and the fault-injection
 // TransientFault) or deterministic (logic_error, watchdog throws,
 // everything else). Transient failures retry up to RetryPolicy::
 // max_attempts with capped exponential backoff; deterministic ones fail
-// immediately. Deadlines are enforced cooperatively: a supervisor thread
-// sets a per-job atomic token when the deadline passes, and the core's
-// cycle loop polls it on stepped cycles (off the fast-forward path —
-// statistics stay bit-identical whether or not a token is wired).
+// immediately.
+//
+// One job state machine, driven from the calling thread, owns every
+// job's lifecycle — cursor, due-time retry list, fault hooks, deadline
+// expiry, attempt-end classification, drain and journaling — and hands
+// attempts to one of two runners: a thread runner (SweepOptions::
+// threads workers, in process) or a child runner (isolate_procs forked
+// children). Deadlines cancel cooperatively: the machine flips the
+// attempt's atomic token, which the core's cycle loop polls on stepped
+// cycles (off the fast-forward path — statistics stay bit-identical
+// whether or not a token is wired); a child gets the flip by SIGTERM
+// and a SIGKILL if it ignores it.
 //
 // Completed jobs are journaled incrementally to a crash-safe checkpoint
 // (src/sim/checkpoint.h) so an interrupted sweep resumes with
 // SweepOptions::resume, skipping finished jobs and reproducing their
 // results bit-identically. SweepFaultPlan injects throws, delays and
-// spurious supervisor wake-ups at (job, attempt) for the deterministic
+// spurious state-machine wake-ups at (job, attempt) for the deterministic
 // fault-injection tests and the CI job that drives them.
 //
 // Taxonomy, policies and file format: docs/SWEEP_ROBUSTNESS.md.
@@ -73,13 +52,30 @@ class TransientFault : public std::runtime_error {
 };
 
 enum class JobStatus : std::uint8_t {
+  /// The result is valid (run live, or loaded from a checkpoint).
   kCompleted,
+  /// All attempts exhausted; carries the failure class, error text and
+  /// the exception for programmatic rethrow.
   kFailed,
+  /// The per-job deadline fired: the core observed the cancellation
+  /// token and unwound, or a child ignored SIGTERM and was hard-killed.
   kTimedOut,
+  /// Never attempted: the sweep drained after max_failures.
   kSkipped,
-  kCrashed,           ///< child died on a fatal signal (isolation only)
-  kResourceExceeded,  ///< child hit its rlimit jail (isolation only)
-  kTraceDamaged,      ///< replay range touched corrupt trace blocks
+  /// Isolation only: the child died on a fatal signal (SIGSEGV/SIGBUS/
+  /// SIGABRT/...). Deterministic by definition, quarantined in the
+  /// journal so a resume skips the known-poison job, and carries a crash
+  /// forensics record when the child's handler got one out.
+  kCrashed,
+  /// Isolation only: the child hit its resource jail (RLIMIT_AS
+  /// allocation failure, RLIMIT_CPU SIGXCPU, or a kernel OOM kill).
+  kResourceExceeded,
+  /// The replay range touched corrupt trace blocks (trace::
+  /// TraceCorruptError: torn tail, interior corruption, bad index).
+  /// Deterministic — the bytes on disk don't heal — so the job is
+  /// journaled with a 'D' record and a resume seals it. Jobs whose
+  /// ranges avoid the damage complete with bit-identical results.
+  kTraceDamaged,
 };
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
 
@@ -157,16 +153,16 @@ struct RetryPolicy {
 };
 
 /// Deterministic fault injection for the robustness test suite and the
-/// CI fault-injection job: when the worker reaches (job, attempt) it
-/// performs the fault before running the simulation.
+/// CI fault-injection job: when (job, attempt) starts, the fault fires
+/// before the simulation runs.
 struct SweepFault {
   enum class Kind : std::uint8_t {
     kThrowTransient,      ///< throw TransientFault (retried)
     kThrowDeterministic,  ///< throw std::logic_error (not retried)
     kDelay,               ///< sleep `delay` first (drives deadline tests)
-    kSpuriousWake,        ///< wake the deadline supervisor for no reason
+    kSpuriousWake,        ///< wake the state machine for no reason
     // The kinds below run inside an isolated child and are rejected by
-    // the in-process executors (they would take the whole sweep down —
+    // the in-process runner (they would take the whole sweep down —
     // which is exactly the failure mode isolation exists to contain).
     kCrash,      ///< dereference a poisoned pointer (SIGSEGV + forensics)
     kOom,        ///< allocation bomb into the RLIMIT_AS jail
@@ -192,7 +188,7 @@ struct SweepFault {
            k == Kind::kTornFrame;
   }
   /// True for kinds that arm a trace::set_io_fault on the job's trace
-  /// path instead of acting inside the executor.
+  /// path instead of acting inside the attempt.
   [[nodiscard]] static constexpr bool is_io_fault(Kind k) noexcept {
     return k == Kind::kShortRead || k == Kind::kBitFlipBlock ||
            k == Kind::kEnospcOnImport || k == Kind::kTornImport;
@@ -221,38 +217,15 @@ struct SweepFaultPlan {
 };
 
 struct SweepOptions {
-  /// Worker threads; 0 picks bench_threads().
+  /// Worker threads of the in-process runner; 0 picks bench_threads().
   unsigned threads = 0;
-  /// Batched-lane executor: when nonzero, jobs run as interleaved
-  /// machines stepped by earliest-wake LaneEngines (src/sim/
-  /// lane_engine.h) — up to `lanes` lanes per shard — instead of one
-  /// thread per job. Outcome semantics — retries, deadlines, fault
-  /// hooks, drain, checkpointing — are identical, and completed results
-  /// are bit-identical to the worker pool's, so the CSV a lane sweep
-  /// emits matches byte for byte. `threads` is ignored in lane mode
-  /// (`lane_shards` is the parallelism knob).
-  unsigned lanes = 0;
-  /// Lane mode only: worker shards, each owning a private LaneEngine of
-  /// up to `lanes` lanes and pulling jobs from the shared due-time
-  /// queue. 0 picks bench_threads(); 1 runs the sweep on the calling
-  /// thread. Results are independent of the shard count by construction
-  /// (lanes never share mutable state), so any T emits the same CSV.
-  /// Rejected when `lanes` is 0.
-  unsigned lane_shards = 0;
-  /// Lane mode only: stepped cycles per lane turn; 0 picks
-  /// LaneEngine::kDefaultCyclesPerTurn (4096). Any N >= 1 is
-  /// outcome-identical — the turn size slices each lane's cycle loop
-  /// without reordering it — so this is purely a scheduling-granularity
-  /// / cache-locality knob. Rejected when `lanes` is 0.
-  std::uint64_t lane_turn = 0;
-  /// Process-isolated executor: when nonzero, each job runs in a forked
+  /// Process-isolated runner: when nonzero, each attempt runs in a forked
   /// child under resource jails (src/sim/process_executor.h) with up to
-  /// `isolate_procs` children alive at once — the first true multi-core
-  /// sweep parallelism, and the only executor that survives a job that
-  /// SIGSEGVs, aborts, or spins past the cooperative cancel check.
-  /// Results come back over a guarded pipe frame and are bit-identical
-  /// to the in-process executors. Mutually exclusive with `lanes`;
-  /// `threads` is ignored (the parent supervisor is single-threaded).
+  /// `isolate_procs` children alive at once — the only runner that
+  /// survives a job that SIGSEGVs, aborts, or spins past the cooperative
+  /// cancel check. Results come back over a guarded pipe frame and are
+  /// bit-identical to the in-process runner's. `threads` is ignored (the
+  /// parent starts no thread, so fork() stays safe).
   unsigned isolate_procs = 0;
   /// RLIMIT_AS cap per child, in MiB (0 = no cap). The cap covers the
   /// whole child address space, inherited image included. Allocation
@@ -267,10 +240,10 @@ struct SweepOptions {
   /// it. Both fates map to TimedOut.
   std::chrono::milliseconds kill_grace{500};
   RetryPolicy retry;
-  /// Per-job wall-clock deadline; zero disables the supervisor.
+  /// Per-job (per-attempt) wall-clock deadline; zero disables it.
   std::chrono::milliseconds job_deadline{0};
-  /// Drain after this many Failed/TimedOut jobs (0 = never): workers
-  /// stop starting new jobs, which then report Skipped.
+  /// Drain after this many jobs end without completing (0 = never): no
+  /// new job starts, and the rest report Skipped.
   std::size_t max_failures = 0;
   /// Journal completed jobs here (empty = no checkpointing). With
   /// `resume`, an existing journal is validated against the job list
@@ -300,8 +273,8 @@ struct SweepReport {
   /// High-water mark of trace sources resident in the sweep's cache —
   /// the residency-release regression probe: with release-on-last-
   /// consumer working, this tracks the traces concurrently in flight
-  /// (<= threads / lanes x shards / isolate_procs, plus build overlap),
-  /// not the total number of distinct traces the sweep touched.
+  /// (<= threads / isolate_procs, plus one of build overlap), not the
+  /// total number of distinct traces the sweep touched.
   std::size_t trace_resident_high_water = 0;
 
   [[nodiscard]] bool all_completed() const noexcept {
@@ -318,9 +291,8 @@ struct SweepReport {
 
 /// Runs the sweep. Never throws for per-job failures — those are
 /// outcomes. Throws CheckpointError (bad/mismatched journal on resume)
-/// and std::invalid_argument (unjournalable job names, `lanes` combined
-/// with `isolate_procs`, `lane_shards`/`lane_turn` without `lanes`, an
-/// isolation-only fault kind without `isolate_procs`, an oom fault
+/// and std::invalid_argument (unjournalable job names, an isolation-only
+/// fault kind without `isolate_procs`, an oom fault
 /// without a `job_mem_mb` jail, an import-only I/O fault kind, or an
 /// I/O fault aimed at a job with no trace file) before any job has
 /// started.

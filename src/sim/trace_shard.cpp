@@ -12,7 +12,7 @@ namespace samie::sim {
 namespace {
 
 // Re-fold every energy field of `r` from r.ledgers through the constants
-// `cfg` selects — the same constants, the same O(1) fold the lane runs,
+// `cfg` selects — the same constants, the same O(1) fold a plain run does,
 // so counts that match an unsharded run's produce bit-identical energy.
 void refold_energies(SimResult& r, const SimConfig& cfg) {
   const energy::LsqEnergyConstants k =

@@ -3,10 +3,11 @@
 //
 // The v2 footer index makes block boundaries addressable, so a single
 // long recording can run as N block-aligned shard jobs — each an
-// ordinary sweep job (pool, lanes or an isolated child), each decoding
-// only its own blocks. Every shard replays a warm-up prefix ahead of its
-// measured range and reports *measured-region* statistics as the
-// difference of two complete runs (ShardLane in lane_engine.cpp):
+// ordinary sweep job (a worker thread or an isolated child), each
+// decoding only its own blocks. Every shard replays a warm-up prefix
+// ahead of its measured range and reports *measured-region* statistics
+// as the difference of two complete runs (run_simulation in
+// simulator.cpp):
 //
 //   measured(shard i) = R([warm_start_i, end_i)) - R([warm_start_i, begin_i))
 //

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/types.h"
@@ -55,9 +56,16 @@ struct MicroOp {
   RegId dst = kNoReg;
   /// Branches: actual direction.
   bool taken = false;
+  /// Explicit, always-zero tail: with no implicit padding every byte of
+  /// a record is a defined field, so byte compares and hashes over
+  /// records (the SAMT checksum, memcmp round-trip checks) are
+  /// well-defined under any optimizer.
+  std::uint8_t reserved[2] = {};
 };
 
 static_assert(sizeof(MicroOp) <= 48, "MicroOp should stay compact");
+static_assert(std::has_unique_object_representations_v<MicroOp>,
+              "MicroOp must have no padding bytes");
 
 /// An immutable dynamic instruction stream plus its provenance.
 struct Trace {

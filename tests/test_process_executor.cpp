@@ -2,10 +2,10 @@
 // crash-forensics wire record, isolated-vs-pool bit-identity across
 // every LSQ kind, containment of the isolation-only fault kinds (crash,
 // oom, spin, torn-frame), deadline escalation (cooperative SIGTERM
-// unwind and the SIGKILL hard kill), in-child transient retry,
-// quarantine on resume in both directions (isolate journal → pool
-// resume and pool journal → isolate resume), drain semantics, and the
-// run_sweep pre-flight validation. Faults are injected via
+// unwind and the SIGKILL hard kill), transient retry in a fresh child,
+// quarantine on resume under either runner, pool journal → isolate
+// resume, drain semantics, the run_sweep pre-flight validation, and the
+// fork-safety guarantee that the isolated runner starts no thread. Faults are injected via
 // SweepFaultPlan — nothing here depends on a real bug to crash.
 //
 // The crash and oom tests are skipped under AddressSanitizer: ASan owns
@@ -13,11 +13,19 @@
 // with an RLIMIT_AS jail.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sim/checkpoint.h"
@@ -186,13 +194,8 @@ TEST(SignalName, NamesCommonSignalsAndFallsBackToNumbers) {
   EXPECT_EQ(sim::signal_name(64), "SIG64");
 }
 
-TEST_F(ProcessExecutorTest, IsolationOnlyFaultsAndLaneComboAreRejected) {
+TEST_F(ProcessExecutorTest, IsolationOnlyFaultsAreRejected) {
   const auto jobs = three_jobs();
-  sim::SweepOptions opt;
-  opt.lanes = 2;
-  opt.isolate_procs = 2;
-  EXPECT_THROW((void)sim::run_sweep(jobs, opt), std::invalid_argument);
-
   sim::SweepFaultPlan plan;
   plan.faults.push_back({1, 1, sim::SweepFault::Kind::kCrash, 0ms});
   sim::SweepOptions no_iso;
@@ -390,7 +393,7 @@ TEST_F(ProcessExecutorTest, DrainSkipsRemainingJobsAfterMaxFailures) {
   EXPECT_EQ(rep.jobs[2].outcome.status, sim::JobStatus::kSkipped);
 }
 
-// -- quarantine and cross-executor resume ------------------------------------
+// -- quarantine and cross-runner resume --------------------------------------
 
 TEST_F(ProcessExecutorTest, CrashIsQuarantinedAndResumeSkipsIt) {
   if (kAsan) GTEST_SKIP() << "ASan owns SIGSEGV reporting";
@@ -410,26 +413,32 @@ TEST_F(ProcessExecutorTest, CrashIsQuarantinedAndResumeSkipsIt) {
   ASSERT_EQ(c.quarantined.size(), 1u);
   EXPECT_EQ(c.records.size(), 2u);
 
-  // Resume through the in-process pool, no faults: the poison job must
-  // NOT be re-run (it would crash the pool's own process).
+  // Resume, no faults, under either runner: the poison job must NOT be
+  // re-run (under the in-process runner it would crash this very
+  // process). A resume appends nothing for a sealed job, so the same
+  // journal serves both legs.
   sim::SweepOptions pool;
   pool.threads = 2;
-  pool.checkpoint_path = ckpt;
-  pool.resume = true;
-  const sim::SweepReport resumed = sim::run_sweep(jobs, pool);
-  EXPECT_EQ(resumed.completed, 2u);
-  EXPECT_EQ(resumed.resumed, 2u);
-  EXPECT_EQ(resumed.crashed, 1u);
-  EXPECT_EQ(resumed.quarantined, 1u);
-  const sim::JobOutcome& oc = resumed.jobs[1].outcome;
-  EXPECT_EQ(oc.status, sim::JobStatus::kCrashed);
-  EXPECT_TRUE(oc.from_checkpoint);
-  EXPECT_EQ(oc.term_signal, SIGSEGV);
-  ASSERT_TRUE(oc.crash.present());
-  EXPECT_EQ(oc.crash.fault_addr, 0x2au);
-  EXPECT_FALSE(oc.crash.frames.empty());
-  for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    expect_results_identical(resumed.jobs[i].result, first.jobs[i].result);
+  sim::SweepOptions isolated;
+  isolated.isolate_procs = 2;
+  for (sim::SweepOptions res : {pool, isolated}) {
+    res.checkpoint_path = ckpt;
+    res.resume = true;
+    const sim::SweepReport resumed = sim::run_sweep(jobs, res);
+    EXPECT_EQ(resumed.completed, 2u);
+    EXPECT_EQ(resumed.resumed, 2u);
+    EXPECT_EQ(resumed.crashed, 1u);
+    EXPECT_EQ(resumed.quarantined, 1u);
+    const sim::JobOutcome& oc = resumed.jobs[1].outcome;
+    EXPECT_EQ(oc.status, sim::JobStatus::kCrashed);
+    EXPECT_TRUE(oc.from_checkpoint);
+    EXPECT_EQ(oc.term_signal, SIGSEGV);
+    ASSERT_TRUE(oc.crash.present());
+    EXPECT_EQ(oc.crash.fault_addr, 0x2au);
+    EXPECT_FALSE(oc.crash.frames.empty());
+    for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+      expect_results_identical(resumed.jobs[i].result, first.jobs[i].result);
+    }
   }
 }
 
@@ -487,6 +496,63 @@ TEST_F(ProcessExecutorTest, TraceDamageIsDetectedParentSideWithoutAChild) {
   EXPECT_EQ(oc.damage, trace::TraceDamage::kTornTail);
   EXPECT_EQ(oc.term_signal, 0);  // no child was ever forked for it
   EXPECT_EQ(sim::sweep_exit_code(rep), 3);
+}
+
+// -- fork safety -------------------------------------------------------------
+
+/// Threads in this process: field 20 of /proc/self/stat, read with raw
+/// syscalls into a stack buffer so polling it never touches the heap
+/// while the process forks. -1 when unreadable.
+int thread_count() {
+  char buf[1024];
+  const int fd = ::open("/proc/self/stat", O_RDONLY);
+  if (fd < 0) return -1;
+  const ssize_t n = ::read(fd, buf, sizeof buf - 1);
+  ::close(fd);
+  if (n <= 0) return -1;
+  buf[n] = '\0';
+  // The command name (field 2) may hold spaces; count from its ')'.
+  const char* p = std::strrchr(buf, ')');
+  if (p == nullptr) return -1;
+  for (int field = 2; *p != '\0' && field < 20; ++p) {
+    if (*p == ' ') ++field;
+  }
+  return std::atoi(p);
+}
+
+TEST_F(ProcessExecutorTest, IsolatedSweepStartsNoThreadInTheParent) {
+  // fork() is only safe from a single-threaded parent, so the isolated
+  // runner must never start a thread. A watcher samples this process's
+  // thread count throughout the sweep; the in-process runner afterwards
+  // is the control that proves the probe sees worker threads.
+  if (thread_count() < 0) GTEST_SKIP() << "/proc/self/stat unavailable";
+  std::atomic<bool> stop{false};
+  std::atomic<int> peak{0};
+  std::thread watcher([&] {
+    while (!stop.load()) {
+      peak.store(std::max(peak.load(), thread_count()));
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  auto sample_peak = [&](const sim::SweepOptions& opt) {
+    std::this_thread::sleep_for(20ms);
+    peak.store(0);
+    std::this_thread::sleep_for(20ms);
+    const int idle = peak.load();  // this thread, the watcher, runtimes
+    const sim::SweepReport rep = sim::run_sweep(three_jobs(20'000), opt);
+    EXPECT_TRUE(rep.all_completed());
+    return std::pair{idle, peak.load()};
+  };
+  sim::SweepOptions iso;
+  iso.isolate_procs = 2;
+  const auto [iso_idle, iso_peak] = sample_peak(iso);
+  sim::SweepOptions pool;
+  pool.threads = 2;
+  const auto [pool_idle, pool_peak] = sample_peak(pool);
+  stop.store(true);
+  watcher.join();
+  EXPECT_EQ(iso_peak, iso_idle) << "the isolated runner started a thread";
+  EXPECT_GT(pool_peak, pool_idle) << "the probe missed the worker threads";
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Tests for the supervised sweep scheduler and the crash-safe checkpoint
 // layer: failure classification and isolation, transient retry with
 // capped backoff, cooperative deadline cancellation, max-failures drain,
-// checkpoint/resume bit-identity (including torn-tail tolerance and
-// wrong-sweep refusal), and the exact SimResult text round-trip. Faults
-// are injected deterministically via SweepFaultPlan — no test here
-// depends on timing races to reproduce.
+// checkpoint/resume bit-identity (including torn-tail tolerance,
+// wrong-sweep refusal and resume under the other runner), trace-damage
+// quarantine, and the exact SimResult text round-trip. The job state
+// machine is runner-agnostic, so every lifecycle test runs against both
+// attempt runners — worker threads and forked children — as a test
+// parameter. Faults are injected deterministically via SweepFaultPlan —
+// no test here depends on timing races to reproduce, and every test that
+// asserts an order pins one worker.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -66,6 +70,35 @@ class SweepSchedulerTest : public ::testing::Test {
   fs::path dir_;
 };
 
+enum class Runner { kThreads, kChildren };
+
+/// The lifecycle tests, instantiated once per attempt runner.
+class SweepRunnerTest : public SweepSchedulerTest,
+                        public ::testing::WithParamInterface<Runner> {
+ protected:
+  /// Sweep options on `runner` (default: the one under test) with
+  /// `workers` worker threads or child processes.
+  [[nodiscard]] static sim::SweepOptions options(unsigned workers,
+                                                 Runner runner = GetParam()) {
+    sim::SweepOptions opt;
+    if (runner == Runner::kChildren) {
+      opt.isolate_procs = workers;
+    } else {
+      opt.threads = workers;
+    }
+    return opt;
+  }
+  [[nodiscard]] static Runner other_runner() {
+    return GetParam() == Runner::kThreads ? Runner::kChildren
+                                          : Runner::kThreads;
+  }
+};
+
+[[nodiscard]] std::string runner_name(
+    const ::testing::TestParamInfo<Runner>& info) {
+  return info.param == Runner::kThreads ? "Threads" : "Children";
+}
+
 /// Bit-exact SimResult equality via the hexfloat serialization (equal
 /// strings <=> equal bits for every field).
 void expect_results_identical(const sim::SimResult& a, const sim::SimResult& b) {
@@ -111,11 +144,10 @@ TEST(ClassifyFailure, SeparatesTransientFromDeterministic) {
   EXPECT_EQ(sim::classify_failure(nullptr), sim::FailureClass::kNone);
 }
 
-TEST_F(SweepSchedulerTest, CleanSweepMatchesRunJobs) {
+TEST_P(SweepRunnerTest, CleanSweepMatchesRunJobs) {
   const auto jobs = three_jobs();
   const auto direct = sim::run_jobs(jobs, 2);
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
   ASSERT_TRUE(rep.all_completed());
   EXPECT_EQ(rep.completed, 3u);
@@ -125,13 +157,12 @@ TEST_F(SweepSchedulerTest, CleanSweepMatchesRunJobs) {
   }
 }
 
-TEST_F(SweepSchedulerTest, TransientFaultIsRetriedToSuccess) {
+TEST_P(SweepRunnerTest, TransientFaultIsRetriedToSuccess) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults = {{1, 1, sim::SweepFault::Kind::kThrowTransient, 0ms},
                  {1, 2, sim::SweepFault::Kind::kThrowTransient, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   opt.retry.max_attempts = 3;
   opt.retry.backoff_base = 1ms;
   opt.faults = &plan;
@@ -144,14 +175,13 @@ TEST_F(SweepSchedulerTest, TransientFaultIsRetriedToSuccess) {
   expect_results_identical(rep.jobs[1].result, clean[1].result);
 }
 
-TEST_F(SweepSchedulerTest, TransientExhaustionReportsFailedTransient) {
+TEST_P(SweepRunnerTest, TransientExhaustionReportsFailedTransient) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   for (std::uint32_t a = 1; a <= 3; ++a) {
     plan.faults.push_back({0, a, sim::SweepFault::Kind::kThrowTransient, 0ms});
   }
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   opt.retry.max_attempts = 3;
   opt.retry.backoff_base = 1ms;
   opt.faults = &plan;
@@ -166,12 +196,11 @@ TEST_F(SweepSchedulerTest, TransientExhaustionReportsFailedTransient) {
   EXPECT_THROW(std::rethrow_exception(bad.error), sim::TransientFault);
 }
 
-TEST_F(SweepSchedulerTest, DeterministicFaultIsolatesOnlyThatJob) {
+TEST_P(SweepRunnerTest, DeterministicFaultIsolatesOnlyThatJob) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults = {{1, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 3;
+  sim::SweepOptions opt = options(3);
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
   EXPECT_EQ(rep.completed, 2u);
@@ -185,7 +214,7 @@ TEST_F(SweepSchedulerTest, DeterministicFaultIsolatesOnlyThatJob) {
   expect_results_identical(rep.jobs[2].result, clean[2].result);
 }
 
-TEST_F(SweepSchedulerTest, DeadlineCancelsOverrunningJob) {
+TEST_P(SweepRunnerTest, DeadlineCancelsOverrunningJob) {
   // The injected 200ms delay runs inside the armed 30ms deadline, so the
   // token is set before the simulation's first stepped cycle: the
   // timeout is deterministic, not a race on simulation speed.
@@ -193,8 +222,7 @@ TEST_F(SweepSchedulerTest, DeadlineCancelsOverrunningJob) {
   jobs.resize(1);
   sim::SweepFaultPlan plan;
   plan.faults = {{0, 1, sim::SweepFault::Kind::kDelay, 200ms}};
-  sim::SweepOptions opt;
-  opt.threads = 1;
+  sim::SweepOptions opt = options(1);
   opt.job_deadline = 30ms;
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
@@ -206,25 +234,24 @@ TEST_F(SweepSchedulerTest, DeadlineCancelsOverrunningJob) {
   EXPECT_THROW(std::rethrow_exception(jr.error), core::SimulationAborted);
 }
 
-TEST_F(SweepSchedulerTest, SpuriousSupervisorWakeIsHarmless) {
+TEST_P(SweepRunnerTest, SpuriousWakeIsHarmless) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults = {{0, 1, sim::SweepFault::Kind::kSpuriousWake, 0ms},
                  {2, 1, sim::SweepFault::Kind::kSpuriousWake, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   opt.job_deadline = 60s;  // generous: nothing should actually expire
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
   EXPECT_TRUE(rep.all_completed());
 }
 
-TEST_F(SweepSchedulerTest, MaxFailuresDrainsRemainingJobsToSkipped) {
+TEST_P(SweepRunnerTest, MaxFailuresDrainsRemainingJobsToSkipped) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults = {{0, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 1;  // deterministic order: job 0 fails before 1 and 2 start
+  // One worker: jobs start in order, so job 0 fails before 1 and 2 start.
+  sim::SweepOptions opt = options(1);
   opt.max_failures = 1;
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
@@ -236,15 +263,14 @@ TEST_F(SweepSchedulerTest, MaxFailuresDrainsRemainingJobsToSkipped) {
   EXPECT_EQ(rep.jobs[1].outcome.attempts, 0u);  // never attempted
 }
 
-TEST_F(SweepSchedulerTest, ResumedSweepIsBitIdenticalToUninterrupted) {
+TEST_P(SweepRunnerTest, ResumedSweepIsBitIdenticalToUninterrupted) {
   const auto jobs = three_jobs();
   const std::string ck = path("sweep.ckpt");
 
   // First run: job 2 fails deterministically, 0 and 1 are journaled.
   sim::SweepFaultPlan plan;
   plan.faults = {{2, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   opt.checkpoint_path = ck;
   opt.faults = &plan;
   const sim::SweepReport partial = sim::run_sweep(jobs, opt);
@@ -252,8 +278,7 @@ TEST_F(SweepSchedulerTest, ResumedSweepIsBitIdenticalToUninterrupted) {
   EXPECT_EQ(partial.failed, 1u);
 
   // Resume without the fault: only job 2 re-runs.
-  sim::SweepOptions res;
-  res.threads = 2;
+  sim::SweepOptions res = options(2);
   res.checkpoint_path = ck;
   res.resume = true;
   const sim::SweepReport rep = sim::run_sweep(jobs, res);
@@ -269,11 +294,10 @@ TEST_F(SweepSchedulerTest, ResumedSweepIsBitIdenticalToUninterrupted) {
   }
 }
 
-TEST_F(SweepSchedulerTest, ResumeIgnoresTornTailLine) {
+TEST_P(SweepRunnerTest, ResumeIgnoresTornTailLine) {
   const auto jobs = three_jobs();
   const std::string ck = path("sweep.ckpt");
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   opt.checkpoint_path = ck;
   (void)sim::run_sweep(jobs, opt);
 
@@ -283,14 +307,79 @@ TEST_F(SweepSchedulerTest, ResumeIgnoresTornTailLine) {
     std::ofstream torn(ck, std::ios::app | std::ios::binary);
     torn << "R\t0123456789abcdef\t2\tgcc\tsamie\ttruncat";  // no newline
   }
-  sim::SweepOptions res;
-  res.threads = 2;
+  sim::SweepOptions res = options(2);
   res.checkpoint_path = ck;
   res.resume = true;
   const sim::SweepReport rep = sim::run_sweep(jobs, res);
   EXPECT_TRUE(rep.all_completed());
   EXPECT_EQ(rep.resumed, 3u);
   EXPECT_EQ(rep.checkpoint_lines_ignored, 1u);
+}
+
+TEST_P(SweepRunnerTest, CheckpointResumesUnderTheOtherRunner) {
+  // Runner choice is excluded from the sweep fingerprint by design: a
+  // journal written under one runner resumes under the other to the
+  // clean run's exact results.
+  const auto jobs = three_jobs();
+  const std::string ck = path("sweep.ckpt");
+  sim::SweepFaultPlan plan;
+  plan.faults = {{1, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
+  sim::SweepOptions opt = options(2);
+  opt.checkpoint_path = ck;
+  opt.faults = &plan;
+  ASSERT_EQ(sim::run_sweep(jobs, opt).completed, 2u);
+
+  sim::SweepOptions res = options(2, other_runner());
+  res.checkpoint_path = ck;
+  res.resume = true;
+  const sim::SweepReport rep = sim::run_sweep(jobs, res);
+  ASSERT_TRUE(rep.all_completed());
+  EXPECT_EQ(rep.resumed, 2u);
+  EXPECT_FALSE(rep.jobs[1].outcome.from_checkpoint);
+  const auto clean = sim::run_jobs(jobs, 1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    expect_results_identical(rep.jobs[i].result, clean[i].result);
+  }
+}
+
+TEST_P(SweepRunnerTest, DeadlineCancelDoesNotStallSiblingJobs) {
+  // Job 1 sleeps through its deadline; the cancellation is contained —
+  // its siblings complete normally on the other worker and the sweep
+  // terminates.
+  const auto jobs = three_jobs();
+  sim::SweepFaultPlan plan;
+  plan.faults = {{1, 1, sim::SweepFault::Kind::kDelay, 1200ms}};
+  sim::SweepOptions opt = options(2);
+  opt.retry.max_attempts = 1;
+  opt.job_deadline = 400ms;
+  opt.faults = &plan;
+  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+  EXPECT_EQ(rep.jobs[1].outcome.status, sim::JobStatus::kTimedOut);
+  EXPECT_TRUE(rep.jobs[0].completed());
+  EXPECT_TRUE(rep.jobs[2].completed());
+  EXPECT_EQ(rep.timed_out, 1u);
+}
+
+TEST_P(SweepRunnerTest, WorkerCountNeverChangesResults) {
+  // Parallelism is a throughput knob, never an outcome knob: one worker
+  // and four workers emit the same results, for every LSQ kind.
+  for (const sim::LsqChoice lsq :
+       {sim::LsqChoice::kConventional, sim::LsqChoice::kUnbounded,
+        sim::LsqChoice::kArb, sim::LsqChoice::kSamie}) {
+    auto jobs = three_jobs();
+    for (sim::Job& j : jobs) {
+      j.config = sim::paper_config(lsq);
+      j.config.instructions = 3000;
+      j.tag = sim::lsq_choice_name(lsq);
+    }
+    const sim::SweepReport one = sim::run_sweep(jobs, options(1));
+    const sim::SweepReport four = sim::run_sweep(jobs, options(4));
+    ASSERT_TRUE(one.all_completed());
+    ASSERT_TRUE(four.all_completed());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_results_identical(one.jobs[i].result, four.jobs[i].result);
+    }
+  }
 }
 
 TEST_F(SweepSchedulerTest, ResumeRefusesADifferentSweep) {
@@ -331,12 +420,11 @@ TEST_F(SweepSchedulerTest, CancellationTokenAbortsASimulationDirectly) {
   expect_results_identical(with_token, without);
 }
 
-TEST_F(SweepSchedulerTest, FailureReportNamesEveryNonCompletedJob) {
+TEST_P(SweepRunnerTest, FailureReportNamesEveryNonCompletedJob) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults = {{1, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 1;
+  sim::SweepOptions opt = options(1);
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
   std::ostringstream os;
@@ -431,7 +519,7 @@ TEST(SimResultRoundTrip, IsBitExactForAwkwardDoubles) {
 // record and sealed on resume — while every undamaged job's results
 // stay byte-identical to a clean sweep's.
 
-class TraceDamageSweepTest : public SweepSchedulerTest {
+class TraceDamageSweepTest : public SweepRunnerTest {
  protected:
   /// Three replay jobs over small recorded v2 traces.
   [[nodiscard]] std::vector<sim::Job> trace_jobs() const {
@@ -451,13 +539,12 @@ class TraceDamageSweepTest : public SweepSchedulerTest {
   }
 };
 
-TEST_F(TraceDamageSweepTest, ShortReadFaultQuarantinesOnlyThatJob) {
+TEST_P(TraceDamageSweepTest, ShortReadFaultQuarantinesOnlyThatJob) {
   const auto jobs = trace_jobs();
   const auto clean = sim::run_jobs(jobs, 1);
   sim::SweepFaultPlan plan;
   plan.faults = {{1, 1, sim::SweepFault::Kind::kShortRead, 0ms, 100}};
-  sim::SweepOptions opt;
-  opt.threads = 2;
+  sim::SweepOptions opt = options(2);
   opt.retry.max_attempts = 3;  // damage must NOT consume retries
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
@@ -480,12 +567,11 @@ TEST_F(TraceDamageSweepTest, ShortReadFaultQuarantinesOnlyThatJob) {
   EXPECT_NE(os.str().find("damage=torn-tail"), std::string::npos);
 }
 
-TEST_F(TraceDamageSweepTest, BitFlipFaultReportsBlockAndOffset) {
+TEST_P(TraceDamageSweepTest, BitFlipFaultReportsBlockAndOffset) {
   const auto jobs = trace_jobs();
   sim::SweepFaultPlan plan;
   plan.faults = {{0, 1, sim::SweepFault::Kind::kBitFlipBlock, 0ms, 2}};
-  sim::SweepOptions opt;
-  opt.threads = 1;
+  sim::SweepOptions opt = options(1);
   opt.faults = &plan;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
   const sim::JobOutcome& oc = rep.jobs[0].outcome;
@@ -497,14 +583,13 @@ TEST_F(TraceDamageSweepTest, BitFlipFaultReportsBlockAndOffset) {
   EXPECT_EQ(sim::sweep_exit_code(rep), 3);
 }
 
-TEST_F(TraceDamageSweepTest, DamageIsJournaledAndSealedOnResume) {
+TEST_P(TraceDamageSweepTest, DamageIsJournaledAndSealedOnResume) {
   const auto jobs = trace_jobs();
   const std::string ckpt = path("sweep.ckpt");
   sim::SweepFaultPlan plan;
   plan.faults = {{2, 1, sim::SweepFault::Kind::kShortRead, 0ms, 0}};
   {
-    sim::SweepOptions opt;
-    opt.threads = 1;
+    sim::SweepOptions opt = options(1);
     opt.checkpoint_path = ckpt;
     opt.faults = &plan;
     const sim::SweepReport rep = sim::run_sweep(jobs, opt);
@@ -517,11 +602,11 @@ TEST_F(TraceDamageSweepTest, DamageIsJournaledAndSealedOnResume) {
   ASSERT_EQ(c.damaged.size(), 1u);
   EXPECT_NE(c.damaged[0].find("mcf"), std::string::npos);
 
-  // Resume with no faults: the damaged job is sealed from the journal,
-  // not re-run (the trace is clean now — a resume must still not trust
-  // it, because the damage decision was already journaled).
-  sim::SweepOptions opt;
-  opt.threads = 1;
+  // Resume with no faults, under the other runner: the damaged job is
+  // sealed from the journal, not re-run (the trace is clean now — a
+  // resume must still not trust it, because the damage decision was
+  // already journaled).
+  sim::SweepOptions opt = options(1, other_runner());
   opt.checkpoint_path = ckpt;
   opt.resume = true;
   const sim::SweepReport rep = sim::run_sweep(jobs, opt);
@@ -534,21 +619,7 @@ TEST_F(TraceDamageSweepTest, DamageIsJournaledAndSealedOnResume) {
   EXPECT_EQ(sim::sweep_exit_code(rep), 3);
 }
 
-TEST_F(TraceDamageSweepTest, LaneExecutorClassifiesDamageToo) {
-  const auto jobs = trace_jobs();
-  sim::SweepFaultPlan plan;
-  plan.faults = {{1, 1, sim::SweepFault::Kind::kShortRead, 0ms, 0}};
-  sim::SweepOptions opt;
-  opt.lanes = 2;
-  opt.lane_shards = 1;
-  opt.faults = &plan;
-  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
-  EXPECT_EQ(rep.jobs[1].outcome.status, sim::JobStatus::kTraceDamaged);
-  EXPECT_EQ(rep.completed, 2u);
-  EXPECT_EQ(sim::sweep_exit_code(rep), 3);
-}
-
-TEST_F(TraceDamageSweepTest, RejectsImportOnlyAndTracelessIoFaults) {
+TEST_P(TraceDamageSweepTest, RejectsImportOnlyAndTracelessIoFaults) {
   // Import-only kinds never belong in a sweep (a sweep replays, it does
   // not import) ...
   {
@@ -572,6 +643,13 @@ TEST_F(TraceDamageSweepTest, RejectsImportOnlyAndTracelessIoFaults) {
     EXPECT_THROW((void)sim::run_sweep(generated, opt), std::invalid_argument);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(BothRunners, SweepRunnerTest,
+                         ::testing::Values(Runner::kThreads, Runner::kChildren),
+                         runner_name);
+INSTANTIATE_TEST_SUITE_P(BothRunners, TraceDamageSweepTest,
+                         ::testing::Values(Runner::kThreads, Runner::kChildren),
+                         runner_name);
 
 }  // namespace
 }  // namespace samie

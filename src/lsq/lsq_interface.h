@@ -94,9 +94,10 @@ class SlotFlags {
   /// One-write initialization at placement time (avoids five RMW ops).
   static SlotFlags make(bool valid, bool is_load, bool data_ready) noexcept {
     SlotFlags f;
-    f.bits_ = static_cast<std::uint8_t>((valid ? kValid : 0U) |
-                                        (is_load ? kIsLoad : 0U) |
-                                        (data_ready ? kDataReady : 0U));
+    f.bits_ = static_cast<std::uint8_t>(
+        (valid ? static_cast<unsigned>(kValid) : 0U) |
+        (is_load ? static_cast<unsigned>(kIsLoad) : 0U) |
+        (data_ready ? static_cast<unsigned>(kDataReady) : 0U));
     return f;
   }
 

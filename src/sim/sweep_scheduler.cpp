@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -369,21 +370,27 @@ class ChildRunner final : public AttemptRunner {
 // -- the job state machine ---------------------------------------------------
 
 /// Owns every job's lifecycle, on the calling thread, whichever runner
-/// executes the attempts: the cursor and the due-time retry list (no
-/// worker ever sleeps out a backoff), the pre-run fault hooks, deadline
+/// executes the attempts: trace-affine admission, the due-time retry list
+/// (no worker sleeps out a backoff), the pre-run fault hooks, deadline
 /// expiry, attempt-end classification, drain-to-Skipped, and finalize —
 /// wall time, trace release, report slot, journal line, failure count.
 class SweepMachine {
  public:
-  SweepMachine(const std::vector<Job>& jobs, std::vector<std::size_t> todo,
+  /// Queues every job not in `done`: one FIFO per trace key, in job
+  /// order, with the keys in order of first appearance.
+  SweepMachine(const std::vector<Job>& jobs, const std::vector<bool>& done,
                const SweepOptions& opt, SweepReport& rep, TraceCache& traces,
                std::optional<CheckpointWriter>& journal)
-      : jobs_(jobs),
-        todo_(std::move(todo)),
-        opt_(opt),
-        rep_(rep),
-        traces_(traces),
-        journal_(journal) {}
+      : jobs_(jobs), opt_(opt), rep_(rep), traces_(traces), journal_(journal) {
+    std::map<TraceCache::Key, std::size_t> key_ids;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (done[i]) continue;
+      const auto [it, first] =
+          key_ids.try_emplace(TraceCache::key_of(jobs[i]), queues_.size());
+      if (first) queues_.emplace_back();
+      queues_[it->second].push_back(i);
+    }
+  }
 
   /// Runs every job to an outcome through `runner`'s `slots` slots.
   void run(AttemptRunner& runner, unsigned slots) {
@@ -392,8 +399,7 @@ class SweepMachine {
     for (unsigned s = slots; s-- > 0;) free_.push_back(s);
     for (;;) {
       admit();
-      if (free_.size() == slots_.size() && retries_.empty() &&
-          cursor_ >= todo_.size()) {
+      if (free_.size() == slots_.size() && retries_.empty() && !pending()) {
         return;
       }
       if (std::optional<AttemptEnd> end = runner.wait(next_wake())) {
@@ -413,7 +419,7 @@ class SweepMachine {
   };
 
   /// Fills free slots: due retries first (a backed-off job re-enters
-  /// ahead of fresh work), then fresh jobs off the cursor.
+  /// ahead of fresh work), then fresh jobs by trace affinity.
   void admit() {
     while (!free_.empty()) {
       std::optional<JobState> js = take_next();
@@ -432,21 +438,54 @@ class SweepMachine {
       retries_.erase(it);
       return js;
     }
-    while (cursor_ < todo_.size()) {
-      const std::size_t i = todo_[cursor_++];
-      // Drain: past the failure budget, remaining jobs report Skipped —
-      // an explicit outcome, never a zero-stat row.
-      if (opt_.max_failures != 0 && failures_ >= opt_.max_failures) {
+    if (!pending()) return std::nullopt;
+    // Drain: past the failure budget, every job not yet started reports
+    // Skipped — an explicit outcome, never a zero-stat row.
+    if (opt_.max_failures != 0 && failures_ >= opt_.max_failures) {
+      while (pending()) {
+        const std::size_t i = take_fresh();
         rep_.jobs[i].outcome.status = JobStatus::kSkipped;
         traces_.finished(jobs_[i]);
-        continue;
       }
-      JobState js;
-      js.index = i;
-      js.t0 = now;
-      return js;
+      return std::nullopt;
     }
-    return std::nullopt;
+    JobState js;
+    js.index = take_fresh();
+    js.t0 = now;
+    return js;
+  }
+
+  [[nodiscard]] bool pending() const {
+    return !open_.empty() || next_key_ < queues_.size();
+  }
+
+  /// Trace-affine admission keeps a trace's consumers together: the
+  /// earliest queued job whose trace is built and ready; else the first
+  /// key nobody holds yet; else the earliest queued job (its attempt waits
+  /// on the build latch). With all traces distinct this is job order.
+  [[nodiscard]] std::size_t take_fresh() {
+    const auto earliest = [this](bool need_ready) {
+      std::size_t best = open_.size();
+      for (std::size_t k = 0; k < open_.size(); ++k) {
+        const std::size_t i = queues_[open_[k]].front();
+        if ((best == open_.size() || i < queues_[open_[best]].front()) &&
+            (!need_ready || traces_.ready(jobs_[i]))) {
+          best = k;
+        }
+      }
+      return best;
+    };
+    std::size_t k = earliest(true);
+    if (k == open_.size() && next_key_ < queues_.size()) {
+      open_.push_back(next_key_++);
+    } else if (k == open_.size()) {
+      k = earliest(false);
+    }
+    std::deque<std::size_t>& q = queues_[open_[k]];
+    const std::size_t i = q.front();
+    q.pop_front();
+    if (q.empty()) open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(k));
+    return i;
   }
 
   /// Starts the job's next attempt: the pre-run fault hook, then the
@@ -620,7 +659,6 @@ class SweepMachine {
   }
 
   const std::vector<Job>& jobs_;
-  const std::vector<std::size_t> todo_;
   const SweepOptions& opt_;
   SweepReport& rep_;
   TraceCache& traces_;
@@ -629,7 +667,9 @@ class SweepMachine {
   std::vector<std::optional<JobState>> slots_;  ///< running attempts
   std::vector<unsigned> free_;                  ///< idle slots
   std::vector<JobState> retries_;               ///< waiting out a backoff
-  std::size_t cursor_ = 0;                      ///< next index into todo_
+  std::vector<std::deque<std::size_t>> queues_;  ///< fresh jobs, per trace key
+  std::vector<std::size_t> open_;  ///< admitted keys with jobs still queued
+  std::size_t next_key_ = 0;       ///< keys from here on are unopened
   std::size_t failures_ = 0;
   bool wake_now_ = false;  ///< an injected spurious wake is pending
 };
@@ -875,15 +915,11 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
     }
   }
 
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!done[i]) todo.push_back(i);
-  }
-  const auto runnable =
-      static_cast<unsigned>(std::max<std::size_t>(1, todo.size()));
+  const auto runnable = static_cast<unsigned>(std::max<std::ptrdiff_t>(
+      1, std::count(done.begin(), done.end(), false)));
 
   TraceCache traces(jobs, done);
-  SweepMachine machine(jobs, std::move(todo), opt, rep, traces, journal);
+  SweepMachine machine(jobs, done, opt, rep, traces, journal);
   if (opt.isolate_procs != 0) {
     ChildRunner runner(opt.isolate_procs, jobs, traces, opt);
     machine.run(runner, opt.isolate_procs);

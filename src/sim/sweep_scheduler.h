@@ -10,7 +10,7 @@
 // immediately.
 //
 // One job state machine, driven from the calling thread, owns every
-// job's lifecycle — cursor, due-time retry list, fault hooks, deadline
+// job's lifecycle — admission, due-time retry list, fault hooks, deadline
 // expiry, attempt-end classification, drain and journaling — and hands
 // attempts to one of two runners: a thread runner (SweepOptions::
 // threads workers, in process) or a child runner (isolate_procs forked
@@ -271,10 +271,13 @@ struct SweepReport {
   /// Torn checkpoint lines ignored on resume (a kill mid-append).
   std::size_t checkpoint_lines_ignored = 0;
   /// High-water mark of trace sources resident in the sweep's cache —
-  /// the residency-release regression probe: with release-on-last-
-  /// consumer working, this tracks the traces concurrently in flight
-  /// (<= threads / isolate_procs, plus one of build overlap), not the
-  /// total number of distinct traces the sweep touched.
+  /// the residency regression probe. A trace is released when its last
+  /// consumer finishes, and admission is trace-affine: due retries
+  /// first, then the earliest job whose trace is built and ready, then
+  /// one that opens a trace nobody holds, else job order. Together they
+  /// keep this at the traces in flight — about one per worker (threads /
+  /// isolate_procs) plus one of build overlap — for any job order, not
+  /// at the number of distinct traces the sweep touches.
   std::size_t trace_resident_high_water = 0;
 
   [[nodiscard]] bool all_completed() const noexcept {

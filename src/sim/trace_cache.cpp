@@ -92,6 +92,12 @@ void TraceCache::finished(const Job& job) {
   if (done != nullptr) done->advise_dontneed();
 }
 
+bool TraceCache::ready(const Job& job) const {
+  std::scoped_lock lock(mu_);
+  const auto it = slots_.find(key_of(job));
+  return it != slots_.end() && it->second.ready;
+}
+
 std::size_t TraceCache::resident_sources() const {
   std::scoped_lock lock(mu_);
   return slots_.size();

@@ -17,8 +17,15 @@
 // When a key's last consumer finishes, the cache drops its own
 // shared_ptr — so a generated trace's buffer frees, and a mapped SAMT
 // file unmaps, the moment the last worker/child over it lets go of its
-// reference. This is what keeps a sweep's peak RSS proportional to the
-// traces in flight rather than to every trace the sweep ever touched;
+// reference. Release alone bounds nothing when a trace's consumers are
+// spread across the job list (a config-major sweep runs every program
+// under one configuration before the next); the sweep's state machine
+// therefore admits jobs by trace affinity through key_of() and ready():
+// after due retries, a job whose trace is already built goes first, then
+// one that opens a trace nobody holds, else the earliest job in job
+// order (which waits on the build latch). Together they keep a sweep's
+// resident sources at about one per worker, plus one while a build
+// overlaps, rather than every trace the sweep touches;
 // resident_high_water() is the regression probe for exactly that.
 #pragma once
 
@@ -56,6 +63,10 @@ class TraceCache {
   /// shared_ptr goes.
   void finished(const Job& job);
 
+  /// The job's trace is built and resident: a consumer admitted now
+  /// starts without waiting on a build latch. O(log keys).
+  [[nodiscard]] bool ready(const Job& job) const;
+
   // -- residency probes (regression tests; all O(log keys)) ------------------
   /// Sources the cache currently holds (built or mid-build).
   [[nodiscard]] std::size_t resident_sources() const;
@@ -64,16 +75,17 @@ class TraceCache {
   /// Consumers still registered against this job's trace.
   [[nodiscard]] std::size_t pending_consumers(const Job& job) const;
 
- private:
+  /// One trace per key; jobs with equal keys share one build. The sweep's
+  /// admission groups jobs by this same key.
   using Key = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+  [[nodiscard]] static Key key_of(const Job& job);
 
+ private:
   struct Slot {
     std::shared_ptr<const trace::TraceSource> src;
     bool building = false;
     bool ready = false;
   };
-
-  [[nodiscard]] static Key key_of(const Job& job);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -67,6 +67,34 @@ class SweepSchedulerTest : public ::testing::Test {
     return jobs;
   }
 
+  /// Config-major list over shared traces, in the shape of the paper's
+  /// figure sweeps: gcc, ammp, mcf under the conventional LSQ (jobs 0-2),
+  /// then the same three traces under SAMIE (jobs 3-5).
+  [[nodiscard]] static std::vector<sim::Job> config_major_jobs() {
+    std::vector<sim::Job> jobs;
+    for (const sim::LsqChoice lsq :
+         {sim::LsqChoice::kConventional, sim::LsqChoice::kSamie}) {
+      for (sim::Job j : three_jobs()) {
+        j.config = sim::paper_config(lsq);
+        j.config.instructions = 3000;
+        j.tag = sim::lsq_choice_name(lsq);
+        jobs.push_back(j);
+      }
+    }
+    return jobs;
+  }
+
+  /// Journaled job indices in journal (completion) order — with one
+  /// worker, the admission order.
+  [[nodiscard]] static std::vector<std::size_t> journal_order(
+      const std::string& ckpt) {
+    std::vector<std::size_t> order;
+    for (const std::string& r : sim::load_checkpoint(ckpt).records) {
+      order.push_back(std::stoul(r.substr(0, r.find('\t'))));
+    }
+    return order;
+  }
+
   fs::path dir_;
 };
 
@@ -379,6 +407,85 @@ TEST_P(SweepRunnerTest, WorkerCountNeverChangesResults) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       expect_results_identical(one.jobs[i].result, four.jobs[i].result);
     }
+  }
+}
+
+// -- trace-affine admission ---------------------------------------------------
+//
+// A fresh job whose trace is already built goes first, then one that
+// opens a trace nobody holds, else job order. These tests pin one worker
+// wherever they assert an order.
+
+TEST_P(SweepRunnerTest, DistinctTracesAreAdmittedInJobOrder) {
+  const auto jobs = three_jobs();
+  const std::string ck = path("sweep.ckpt");
+  sim::SweepOptions opt = options(1);
+  opt.checkpoint_path = ck;
+  ASSERT_TRUE(sim::run_sweep(jobs, opt).all_completed());
+  EXPECT_EQ(journal_order(ck), (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST_P(SweepRunnerTest, SharedTraceConsumersAreAdmittedTogether) {
+  // Each SAMIE job runs right after the conventional job that built its
+  // trace, so the trace is released before the next one is opened.
+  const auto jobs = config_major_jobs();
+  const std::string ck = path("sweep.ckpt");
+  sim::SweepOptions opt = options(1);
+  opt.checkpoint_path = ck;
+  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+  ASSERT_TRUE(rep.all_completed());
+  EXPECT_EQ(journal_order(ck), (std::vector<std::size_t>{0, 3, 1, 4, 2, 5}));
+  EXPECT_EQ(rep.trace_resident_high_water, 1u);
+}
+
+TEST_P(SweepRunnerTest, MaxFailuresDrainOverSharedTracesSkipsOnlyUnstartedJobs) {
+  // Admission runs 0, 3, 1, 4: job 4's failure drains jobs 2 and 5 —
+  // not job 3, which ran already though it comes after job 2.
+  const auto jobs = config_major_jobs();
+  sim::SweepFaultPlan plan;
+  plan.faults = {{4, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
+  sim::SweepOptions opt = options(1);
+  opt.max_failures = 1;
+  opt.faults = &plan;
+  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+  EXPECT_EQ(rep.completed, 3u);
+  EXPECT_EQ(rep.failed, 1u);
+  EXPECT_EQ(rep.skipped, 2u);
+  EXPECT_EQ(rep.jobs[2].outcome.status, sim::JobStatus::kSkipped);
+  EXPECT_EQ(rep.jobs[5].outcome.status, sim::JobStatus::kSkipped);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(rep.jobs[i].outcome.status == sim::JobStatus::kSkipped,
+              rep.jobs[i].outcome.attempts == 0)
+        << "job " << i << ": Skipped must mean never started";
+  }
+}
+
+TEST_P(SweepRunnerTest, ConfigMajorCheckpointResumesUnderTheOtherRunner) {
+  // Interrupted midway (drained after job 4 fails), the journal holds
+  // jobs 0, 3 and 1: one trace with both consumers done, one with one
+  // left, one untouched. The other runner finishes the rest to the clean
+  // run's exact results.
+  const auto jobs = config_major_jobs();
+  const std::string ck = path("sweep.ckpt");
+  sim::SweepFaultPlan plan;
+  plan.faults = {{4, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms}};
+  sim::SweepOptions opt = options(1);
+  opt.checkpoint_path = ck;
+  opt.max_failures = 1;
+  opt.faults = &plan;
+  ASSERT_EQ(sim::run_sweep(jobs, opt).completed, 3u);
+
+  sim::SweepOptions res = options(2, other_runner());
+  res.checkpoint_path = ck;
+  res.resume = true;
+  const sim::SweepReport rep = sim::run_sweep(jobs, res);
+  ASSERT_TRUE(rep.all_completed());
+  EXPECT_EQ(rep.resumed, 3u);
+  const auto clean = sim::run_jobs(jobs, 1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(rep.jobs[i].outcome.from_checkpoint, i == 0 || i == 1 || i == 3)
+        << "job " << i;
+    expect_results_identical(rep.jobs[i].result, clean[i].result);
   }
 }
 

@@ -4,7 +4,10 @@
 // sweep's resident high-water mark must track the workers in flight, not
 // every trace the sweep ever touched. This is the regression fence for
 // the 458 MB suite RSS leak: before the fix the cache pinned every
-// generated workload until the sweep returned.
+// generated workload until the sweep returned. Release alone is not
+// enough for a config-major sweep, whose traces each have consumers at
+// both ends of the job list; the sweep's trace-affine admission is what
+// keeps those bounded too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/sim/trace_cache.h"
@@ -99,6 +103,80 @@ TEST(TraceCache, SweepHighWaterTracksWorkersNotSuiteSize) {
     EXPECT_LE(rep.trace_resident_high_water, 3U)
         << "sweep pinned more traces than workers in flight (isolate_procs="
         << opt.isolate_procs << ")";
+  }
+}
+
+/// Eight contrasting programs: enough that pinning every trace (8) is
+/// well above workers + 1 at every worker count the tests use.
+const std::vector<std::string> kPrograms = {"gcc", "mcf",    "ammp", "art",
+                                            "crafty", "gzip", "swim", "vpr"};
+
+/// The paper's figure sweeps: every program under the conventional LSQ,
+/// then every program under SAMIE — each trace's two consumers are a
+/// whole program list apart.
+[[nodiscard]] std::vector<sim::Job> lsq_major_jobs() {
+  std::vector<sim::Job> jobs;
+  for (const sim::LsqChoice lsq :
+       {sim::LsqChoice::kConventional, sim::LsqChoice::kSamie}) {
+    for (const std::string& p : kPrograms) {
+      sim::Job j = job_for(p);
+      j.config = sim::paper_config(lsq);
+      j.config.instructions = 2000;
+      j.tag = sim::lsq_choice_name(lsq);
+      jobs.push_back(j);
+    }
+  }
+  return jobs;
+}
+
+/// The design-grid sweeps (Figures 3/4, the sizing study): every program
+/// under one SAMIE geometry, then the next — three consumers per trace.
+[[nodiscard]] std::vector<sim::Job> geometry_major_jobs() {
+  std::vector<sim::Job> jobs;
+  for (const std::uint32_t slots : {4U, 8U, 16U}) {
+    for (const std::string& p : kPrograms) {
+      sim::Job j = job_for(p);
+      j.config.samie.slots_per_entry = slots;
+      j.tag = "slots" + std::to_string(slots);
+      jobs.push_back(j);
+    }
+  }
+  return jobs;
+}
+
+TEST(TraceCache, ConfigMajorSweepKeepsOnlyTracesInFlightResident) {
+  // Trace-affine admission: a trace's later consumers run as soon as it
+  // is built, so it is released long before the sweep ends. Job-order
+  // admission would pin all eight traces until the last configuration.
+  for (const auto& jobs : {lsq_major_jobs(), geometry_major_jobs()}) {
+    sim::SweepOptions serial;
+    serial.threads = 1;
+    const sim::SweepReport ref = sim::run_sweep(jobs, serial);
+    ASSERT_TRUE(ref.all_completed());
+    for (const unsigned workers : {1U, 2U, 4U}) {
+      sim::SweepOptions pool;
+      pool.threads = workers;
+      sim::SweepOptions isolated;
+      isolated.isolate_procs = workers;
+      for (const sim::SweepOptions& opt : {pool, isolated}) {
+        const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+        ASSERT_TRUE(rep.all_completed());
+        EXPECT_LE(rep.trace_resident_high_water, workers + 1)
+            << "workers=" << workers << " isolate_procs=" << opt.isolate_procs
+            << " first tag=" << jobs.front().tag;
+        // Admission order never leaks into the report: slots stay in job
+        // order with bit-identical results.
+        ASSERT_EQ(rep.jobs.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          EXPECT_EQ(rep.jobs[i].job.program, jobs[i].program);
+          EXPECT_EQ(rep.jobs[i].job.tag, jobs[i].tag);
+          EXPECT_EQ(sim::serialize_sim_result(rep.jobs[i].result),
+                    sim::serialize_sim_result(ref.jobs[i].result))
+              << "job " << i << " workers=" << workers
+              << " isolate_procs=" << opt.isolate_procs;
+        }
+      }
+    }
   }
 }
 

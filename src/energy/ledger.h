@@ -9,13 +9,16 @@
 //   sum over N searches of (base + per * n_i)  ==  N*base + (sum n_i)*per
 //
 // Energy is computed once, at fold time, as `count * pj` from the
-// constants in lsq_model.h; the fold is O(1) in the number of events and
-// merging two ledgers is an associative integer add (see merge()).
+// constants in lsq_model.h; the fold is O(1) in the number of events.
+// save()/load() move the raw counts to and from a flat array: merging
+// per-shard runs is an element-wise integer add of those arrays
+// (LedgerCounts), associative and order-independent.
 // docs/ENERGY_LEDGER.md documents the fold semantics and why the golden
 // statistics were re-frozen when this scheme replaced per-event FP
 // accumulation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -23,104 +26,105 @@
 
 namespace samie::energy {
 
-/// Events of the conventional fully-associative LSQ (Table 4 rows).
-class ConvLsqLedger {
+/// The `N` raw event counts of one ledger, indexed by the ledger's
+/// count enum (which is also the save() order).
+template <std::size_t N>
+class CountLedger {
  public:
-  explicit ConvLsqLedger(const LsqEnergyConstants& k) : k_(&k) {}
+  static constexpr std::size_t kSavedCounts = N;
+  explicit CountLedger(const LsqEnergyConstants& k) : k_(&k) {}
+
+  /// Raw counts out to / in from a flat array (SimResult carries them so
+  /// sharded replay can re-fold energy from exactly-merged integers).
+  void save(std::uint64_t* out) const { std::copy_n(n_, N, out); }
+  void load(const std::uint64_t* in) { std::copy_n(in, N, n_); }
+
+ protected:
+  /// Count `i` as a double, for the fold.
+  [[nodiscard]] double d(std::size_t i) const {
+    return static_cast<double>(n_[i]);
+  }
+
+  const LsqEnergyConstants* k_;
+  std::uint64_t n_[N] = {};
+};
+
+/// Events of the conventional fully-associative LSQ (Table 4 rows).
+class ConvLsqLedger : public CountLedger<4> {
+ public:
+  enum : std::size_t { kSearches, kAddrsCompared, kAddrRw, kDatumRw };
+  using CountLedger::CountLedger;
 
   /// One associative search comparing against `compared` addresses.
   void on_addr_search(std::uint64_t compared) {
-    ++searches_;
-    addrs_compared_ += compared;
+    ++n_[kSearches];
+    n_[kAddrsCompared] += compared;
   }
-  void on_addr_write() { ++addr_rw_; }
-  void on_addr_read() { ++addr_rw_; }
-  void on_datum_write() { ++datum_rw_; }
-  void on_datum_read() { ++datum_rw_; }
+  void on_addr_write() { ++n_[kAddrRw]; }
+  void on_addr_read() { ++n_[kAddrRw]; }
+  void on_datum_write() { ++n_[kDatumRw]; }
+  void on_datum_read() { ++n_[kDatumRw]; }
 
   /// Fold the event counts into picojoules. Called once per run.
   [[nodiscard]] double energy_pj() const {
-    return static_cast<double>(searches_) * k_->conv.addr_cmp_base_pj +
-           static_cast<double>(addrs_compared_) * k_->conv.addr_cmp_per_addr_pj +
-           static_cast<double>(addr_rw_) * k_->conv.addr_rw_pj +
-           static_cast<double>(datum_rw_) * k_->conv.datum_rw_pj;
+    return d(kSearches) * k_->conv.addr_cmp_base_pj +
+           d(kAddrsCompared) * k_->conv.addr_cmp_per_addr_pj +
+           d(kAddrRw) * k_->conv.addr_rw_pj +
+           d(kDatumRw) * k_->conv.datum_rw_pj;
   }
-  [[nodiscard]] std::uint64_t searches() const { return searches_; }
-  [[nodiscard]] std::uint64_t addresses_compared() const { return addrs_compared_; }
-  [[nodiscard]] std::uint64_t addr_accesses() const { return addr_rw_; }
-  [[nodiscard]] std::uint64_t datum_accesses() const { return datum_rw_; }
-
-  /// Integer-add the counts of `o` into this ledger. Associative and
-  /// commutative: merging per-shard ledgers in any order yields the same
-  /// counts, hence bit-identical folded energy.
-  void merge(const ConvLsqLedger& o) {
-    searches_ += o.searches_;
-    addrs_compared_ += o.addrs_compared_;
-    addr_rw_ += o.addr_rw_;
-    datum_rw_ += o.datum_rw_;
+  [[nodiscard]] std::uint64_t searches() const { return n_[kSearches]; }
+  [[nodiscard]] std::uint64_t addresses_compared() const {
+    return n_[kAddrsCompared];
   }
-
-  static constexpr std::size_t kSavedCounts = 4;
-  /// Raw counts out to / in from a flat array (SimResult carries them so
-  /// sharded replay can re-fold energy from exactly-merged integers).
-  void save(std::uint64_t* out) const {
-    out[0] = searches_;
-    out[1] = addrs_compared_;
-    out[2] = addr_rw_;
-    out[3] = datum_rw_;
-  }
-  void load(const std::uint64_t* in) {
-    searches_ = in[0];
-    addrs_compared_ = in[1];
-    addr_rw_ = in[2];
-    datum_rw_ = in[3];
-  }
-
- private:
-  const LsqEnergyConstants* k_;
-  std::uint64_t searches_ = 0;
-  std::uint64_t addrs_compared_ = 0;
-  std::uint64_t addr_rw_ = 0;
-  std::uint64_t datum_rw_ = 0;
+  [[nodiscard]] std::uint64_t addr_accesses() const { return n_[kAddrRw]; }
+  [[nodiscard]] std::uint64_t datum_accesses() const { return n_[kDatumRw]; }
 };
 
 /// Events of the SAMIE-LSQ (Table 5 rows), with the Figure 8 breakdown.
-class SamieLsqLedger {
+class SamieLsqLedger : public CountLedger<20> {
  public:
-  explicit SamieLsqLedger(const LsqEnergyConstants& k) : k_(&k) {}
+  enum : std::size_t {
+    kBusSends,
+    kDAddrSearches, kDAddrsCompared, kDAgeSearches, kDAgeIdsCompared,
+    kDAddrRw, kDAgeRw, kDDatumRw, kDTranslationRw, kDLineIdRw,
+    kSAddrSearches, kSAddrsCompared, kSAgeSearches, kSAgeIdsCompared,
+    kSAddrRw, kSAgeRw, kSDatumRw, kSTranslationRw, kSLineIdRw,
+    kAddrbufAccesses,
+  };
+  using CountLedger::CountLedger;
 
   // --- bus -----------------------------------------------------------------
-  void on_bus_send() { ++bus_sends_; }
+  void on_bus_send() { ++n_[kBusSends]; }
 
   // --- DistribLSQ ------------------------------------------------------------
   void on_distrib_addr_search(std::uint64_t compared) {
-    ++d_addr_searches_;
-    d_addrs_compared_ += compared;
+    ++n_[kDAddrSearches];
+    n_[kDAddrsCompared] += compared;
   }
   void on_distrib_age_search(std::uint64_t ids_compared) {
-    ++d_age_searches_;
-    d_age_ids_compared_ += ids_compared;
+    ++n_[kDAgeSearches];
+    n_[kDAgeIdsCompared] += ids_compared;
   }
-  void on_distrib_addr_write() { ++d_addr_rw_; }
-  void on_distrib_age_write() { ++d_age_rw_; }
-  void on_distrib_datum_rw() { ++d_datum_rw_; }
-  void on_distrib_translation_rw() { ++d_translation_rw_; }
-  void on_distrib_line_id_rw() { ++d_line_id_rw_; }
+  void on_distrib_addr_write() { ++n_[kDAddrRw]; }
+  void on_distrib_age_write() { ++n_[kDAgeRw]; }
+  void on_distrib_datum_rw() { ++n_[kDDatumRw]; }
+  void on_distrib_translation_rw() { ++n_[kDTranslationRw]; }
+  void on_distrib_line_id_rw() { ++n_[kDLineIdRw]; }
 
   // --- SharedLSQ -------------------------------------------------------------
   void on_shared_addr_search(std::uint64_t compared) {
-    ++s_addr_searches_;
-    s_addrs_compared_ += compared;
+    ++n_[kSAddrSearches];
+    n_[kSAddrsCompared] += compared;
   }
   void on_shared_age_search(std::uint64_t ids_compared) {
-    ++s_age_searches_;
-    s_age_ids_compared_ += ids_compared;
+    ++n_[kSAgeSearches];
+    n_[kSAgeIdsCompared] += ids_compared;
   }
-  void on_shared_addr_write() { ++s_addr_rw_; }
-  void on_shared_age_write() { ++s_age_rw_; }
-  void on_shared_datum_rw() { ++s_datum_rw_; }
-  void on_shared_translation_rw() { ++s_translation_rw_; }
-  void on_shared_line_id_rw() { ++s_line_id_rw_; }
+  void on_shared_addr_write() { ++n_[kSAddrRw]; }
+  void on_shared_age_write() { ++n_[kSAgeRw]; }
+  void on_shared_datum_rw() { ++n_[kSDatumRw]; }
+  void on_shared_translation_rw() { ++n_[kSTranslationRw]; }
+  void on_shared_line_id_rw() { ++n_[kSLineIdRw]; }
 
   /// Fused Table-5 charge for one SAMIE placement search (try_place):
   /// one bus send, then in the target bank one address search over
@@ -132,212 +136,103 @@ class SamieLsqLedger {
   void on_placement_search(std::uint64_t bank_entries, std::uint64_t bank_ids,
                            std::uint64_t shared_entries,
                            std::uint64_t shared_ids) {
-    ++bus_sends_;
-    ++d_addr_searches_;
-    d_addrs_compared_ += bank_entries;
-    d_age_searches_ += bank_entries;
-    d_age_ids_compared_ += bank_ids;
-    ++s_addr_searches_;
-    s_addrs_compared_ += shared_entries;
-    s_age_searches_ += shared_entries;
-    s_age_ids_compared_ += shared_ids;
+    ++n_[kBusSends];
+    ++n_[kDAddrSearches];
+    n_[kDAddrsCompared] += bank_entries;
+    n_[kDAgeSearches] += bank_entries;
+    n_[kDAgeIdsCompared] += bank_ids;
+    ++n_[kSAddrSearches];
+    n_[kSAddrsCompared] += shared_entries;
+    n_[kSAgeSearches] += shared_entries;
+    n_[kSAgeIdsCompared] += shared_ids;
   }
 
   // --- AddrBuffer ------------------------------------------------------------
   /// One FIFO slot write or read (address word + age id).
-  void on_addrbuf_write() { ++addrbuf_accesses_; }
-  void on_addrbuf_read() { ++addrbuf_accesses_; }
+  void on_addrbuf_write() { ++n_[kAddrbufAccesses]; }
+  void on_addrbuf_read() { ++n_[kAddrbufAccesses]; }
 
   // --- fold ----------------------------------------------------------------
   [[nodiscard]] double energy_pj() const {
     return distrib_pj() + shared_pj() + addrbuf_pj() + bus_pj();
   }
   [[nodiscard]] double distrib_pj() const {
-    return static_cast<double>(d_addr_searches_) * k_->samie.d_addr_cmp_base_pj +
-           static_cast<double>(d_addrs_compared_) * k_->samie.d_addr_cmp_per_addr_pj +
-           static_cast<double>(d_age_searches_) * k_->samie.d_age_cmp_base_pj +
-           static_cast<double>(d_age_ids_compared_) * k_->samie.d_age_cmp_per_id_pj +
-           static_cast<double>(d_addr_rw_) * k_->samie.d_addr_rw_pj +
-           static_cast<double>(d_age_rw_) * k_->samie.d_age_rw_pj +
-           static_cast<double>(d_datum_rw_) * k_->samie.d_datum_rw_pj +
-           static_cast<double>(d_translation_rw_) * k_->samie.d_translation_rw_pj +
-           static_cast<double>(d_line_id_rw_) * k_->samie.d_line_id_rw_pj;
+    return d(kDAddrSearches) * k_->samie.d_addr_cmp_base_pj +
+           d(kDAddrsCompared) * k_->samie.d_addr_cmp_per_addr_pj +
+           d(kDAgeSearches) * k_->samie.d_age_cmp_base_pj +
+           d(kDAgeIdsCompared) * k_->samie.d_age_cmp_per_id_pj +
+           d(kDAddrRw) * k_->samie.d_addr_rw_pj +
+           d(kDAgeRw) * k_->samie.d_age_rw_pj +
+           d(kDDatumRw) * k_->samie.d_datum_rw_pj +
+           d(kDTranslationRw) * k_->samie.d_translation_rw_pj +
+           d(kDLineIdRw) * k_->samie.d_line_id_rw_pj;
   }
   [[nodiscard]] double shared_pj() const {
-    return static_cast<double>(s_addr_searches_) * k_->samie.s_addr_cmp_base_pj +
-           static_cast<double>(s_addrs_compared_) * k_->samie.s_addr_cmp_per_addr_pj +
-           static_cast<double>(s_age_searches_) * k_->samie.s_age_cmp_base_pj +
-           static_cast<double>(s_age_ids_compared_) * k_->samie.s_age_cmp_per_id_pj +
-           static_cast<double>(s_addr_rw_) * k_->samie.s_addr_rw_pj +
-           static_cast<double>(s_age_rw_) * k_->samie.s_age_rw_pj +
-           static_cast<double>(s_datum_rw_) * k_->samie.s_datum_rw_pj +
-           static_cast<double>(s_translation_rw_) * k_->samie.s_translation_rw_pj +
-           static_cast<double>(s_line_id_rw_) * k_->samie.s_line_id_rw_pj;
+    return d(kSAddrSearches) * k_->samie.s_addr_cmp_base_pj +
+           d(kSAddrsCompared) * k_->samie.s_addr_cmp_per_addr_pj +
+           d(kSAgeSearches) * k_->samie.s_age_cmp_base_pj +
+           d(kSAgeIdsCompared) * k_->samie.s_age_cmp_per_id_pj +
+           d(kSAddrRw) * k_->samie.s_addr_rw_pj +
+           d(kSAgeRw) * k_->samie.s_age_rw_pj +
+           d(kSDatumRw) * k_->samie.s_datum_rw_pj +
+           d(kSTranslationRw) * k_->samie.s_translation_rw_pj +
+           d(kSLineIdRw) * k_->samie.s_line_id_rw_pj;
   }
   [[nodiscard]] double addrbuf_pj() const {
-    return static_cast<double>(addrbuf_accesses_) *
+    return d(kAddrbufAccesses) *
            (k_->samie.ab_datum_rw_pj + k_->samie.ab_age_rw_pj);
   }
   [[nodiscard]] double bus_pj() const {
-    return static_cast<double>(bus_sends_) * k_->samie.bus_send_addr_pj;
+    return d(kBusSends) * k_->samie.bus_send_addr_pj;
   }
-  [[nodiscard]] std::uint64_t bus_sends() const { return bus_sends_; }
-  [[nodiscard]] std::uint64_t distrib_searches() const { return d_addr_searches_; }
-  [[nodiscard]] std::uint64_t shared_searches() const { return s_addr_searches_; }
-  [[nodiscard]] std::uint64_t addrbuf_accesses() const { return addrbuf_accesses_; }
-
-  void merge(const SamieLsqLedger& o) {
-    bus_sends_ += o.bus_sends_;
-    d_addr_searches_ += o.d_addr_searches_;
-    d_addrs_compared_ += o.d_addrs_compared_;
-    d_age_searches_ += o.d_age_searches_;
-    d_age_ids_compared_ += o.d_age_ids_compared_;
-    d_addr_rw_ += o.d_addr_rw_;
-    d_age_rw_ += o.d_age_rw_;
-    d_datum_rw_ += o.d_datum_rw_;
-    d_translation_rw_ += o.d_translation_rw_;
-    d_line_id_rw_ += o.d_line_id_rw_;
-    s_addr_searches_ += o.s_addr_searches_;
-    s_addrs_compared_ += o.s_addrs_compared_;
-    s_age_searches_ += o.s_age_searches_;
-    s_age_ids_compared_ += o.s_age_ids_compared_;
-    s_addr_rw_ += o.s_addr_rw_;
-    s_age_rw_ += o.s_age_rw_;
-    s_datum_rw_ += o.s_datum_rw_;
-    s_translation_rw_ += o.s_translation_rw_;
-    s_line_id_rw_ += o.s_line_id_rw_;
-    addrbuf_accesses_ += o.addrbuf_accesses_;
+  [[nodiscard]] std::uint64_t bus_sends() const { return n_[kBusSends]; }
+  [[nodiscard]] std::uint64_t distrib_searches() const {
+    return n_[kDAddrSearches];
   }
-
-  static constexpr std::size_t kSavedCounts = 20;
-  void save(std::uint64_t* out) const {
-    const std::uint64_t counts[kSavedCounts] = {
-        bus_sends_,        d_addr_searches_, d_addrs_compared_,
-        d_age_searches_,   d_age_ids_compared_, d_addr_rw_,
-        d_age_rw_,         d_datum_rw_,      d_translation_rw_,
-        d_line_id_rw_,     s_addr_searches_, s_addrs_compared_,
-        s_age_searches_,   s_age_ids_compared_, s_addr_rw_,
-        s_age_rw_,         s_datum_rw_,      s_translation_rw_,
-        s_line_id_rw_,     addrbuf_accesses_};
-    for (std::size_t i = 0; i < kSavedCounts; ++i) out[i] = counts[i];
+  [[nodiscard]] std::uint64_t shared_searches() const {
+    return n_[kSAddrSearches];
   }
-  void load(const std::uint64_t* in) {
-    bus_sends_ = in[0];
-    d_addr_searches_ = in[1];
-    d_addrs_compared_ = in[2];
-    d_age_searches_ = in[3];
-    d_age_ids_compared_ = in[4];
-    d_addr_rw_ = in[5];
-    d_age_rw_ = in[6];
-    d_datum_rw_ = in[7];
-    d_translation_rw_ = in[8];
-    d_line_id_rw_ = in[9];
-    s_addr_searches_ = in[10];
-    s_addrs_compared_ = in[11];
-    s_age_searches_ = in[12];
-    s_age_ids_compared_ = in[13];
-    s_addr_rw_ = in[14];
-    s_age_rw_ = in[15];
-    s_datum_rw_ = in[16];
-    s_translation_rw_ = in[17];
-    s_line_id_rw_ = in[18];
-    addrbuf_accesses_ = in[19];
+  [[nodiscard]] std::uint64_t addrbuf_accesses() const {
+    return n_[kAddrbufAccesses];
   }
-
- private:
-  const LsqEnergyConstants* k_;
-  std::uint64_t bus_sends_ = 0;
-  std::uint64_t d_addr_searches_ = 0;
-  std::uint64_t d_addrs_compared_ = 0;
-  std::uint64_t d_age_searches_ = 0;
-  std::uint64_t d_age_ids_compared_ = 0;
-  std::uint64_t d_addr_rw_ = 0;
-  std::uint64_t d_age_rw_ = 0;
-  std::uint64_t d_datum_rw_ = 0;
-  std::uint64_t d_translation_rw_ = 0;
-  std::uint64_t d_line_id_rw_ = 0;
-  std::uint64_t s_addr_searches_ = 0;
-  std::uint64_t s_addrs_compared_ = 0;
-  std::uint64_t s_age_searches_ = 0;
-  std::uint64_t s_age_ids_compared_ = 0;
-  std::uint64_t s_addr_rw_ = 0;
-  std::uint64_t s_age_rw_ = 0;
-  std::uint64_t s_datum_rw_ = 0;
-  std::uint64_t s_translation_rw_ = 0;
-  std::uint64_t s_line_id_rw_ = 0;
-  std::uint64_t addrbuf_accesses_ = 0;
 };
 
 /// L1 data cache access energy (full vs way-known accesses, Figure 9).
-class DcacheLedger {
+class DcacheLedger : public CountLedger<2> {
  public:
-  explicit DcacheLedger(const LsqEnergyConstants& k) : k_(&k) {}
+  enum : std::size_t { kFull, kWayKnown };
+  using CountLedger::CountLedger;
 
-  void on_full_access() { ++full_; }
-  void on_way_known_access() { ++known_; }
+  void on_full_access() { ++n_[kFull]; }
+  void on_way_known_access() { ++n_[kWayKnown]; }
 
   [[nodiscard]] double energy_pj() const {
-    return static_cast<double>(full_) * k_->mem.dcache_full_access_pj +
-           static_cast<double>(known_) * k_->mem.dcache_way_known_pj;
+    return d(kFull) * k_->mem.dcache_full_access_pj +
+           d(kWayKnown) * k_->mem.dcache_way_known_pj;
   }
-  [[nodiscard]] std::uint64_t full_accesses() const { return full_; }
-  [[nodiscard]] std::uint64_t way_known_accesses() const { return known_; }
-
-  void merge(const DcacheLedger& o) {
-    full_ += o.full_;
-    known_ += o.known_;
+  [[nodiscard]] std::uint64_t full_accesses() const { return n_[kFull]; }
+  [[nodiscard]] std::uint64_t way_known_accesses() const {
+    return n_[kWayKnown];
   }
-
-  static constexpr std::size_t kSavedCounts = 2;
-  void save(std::uint64_t* out) const {
-    out[0] = full_;
-    out[1] = known_;
-  }
-  void load(const std::uint64_t* in) {
-    full_ = in[0];
-    known_ = in[1];
-  }
-
- private:
-  const LsqEnergyConstants* k_;
-  std::uint64_t full_ = 0;
-  std::uint64_t known_ = 0;
 };
 
 /// Data TLB access energy (Figure 10). Cached translations cost nothing in
 /// the DTLB (the LSQ-side read is booked by SamieLsqLedger).
-class DtlbLedger {
+class DtlbLedger : public CountLedger<2> {
  public:
-  explicit DtlbLedger(const LsqEnergyConstants& k) : k_(&k) {}
+  enum : std::size_t { kAccesses, kCached };
+  using CountLedger::CountLedger;
 
-  void on_access() { ++accesses_; }
-  void on_cached_translation() { ++cached_; }
+  void on_access() { ++n_[kAccesses]; }
+  void on_cached_translation() { ++n_[kCached]; }
 
   [[nodiscard]] double energy_pj() const {
-    return static_cast<double>(accesses_) * k_->mem.dtlb_access_pj;
+    return d(kAccesses) * k_->mem.dtlb_access_pj;
   }
-  [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
-  [[nodiscard]] std::uint64_t cached_translations() const { return cached_; }
-
-  void merge(const DtlbLedger& o) {
-    accesses_ += o.accesses_;
-    cached_ += o.cached_;
+  [[nodiscard]] std::uint64_t accesses() const { return n_[kAccesses]; }
+  [[nodiscard]] std::uint64_t cached_translations() const {
+    return n_[kCached];
   }
-
-  static constexpr std::size_t kSavedCounts = 2;
-  void save(std::uint64_t* out) const {
-    out[0] = accesses_;
-    out[1] = cached_;
-  }
-  void load(const std::uint64_t* in) {
-    accesses_ = in[0];
-    cached_ = in[1];
-  }
-
- private:
-  const LsqEnergyConstants* k_;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t cached_ = 0;
 };
 
 /// Integrates active area over cycles (Figures 11 and 12). Units are

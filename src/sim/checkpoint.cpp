@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/sim/result_fields.h"
 #include "src/trace/trace_io.h"  // fnv1a_64
 
 namespace samie::sim {
@@ -196,124 +197,52 @@ CheckpointContents load_checkpoint(const std::string& path) {
 
 // -- SimResult round-trip ----------------------------------------------------
 
-namespace {
-
-void put_u64(std::ostringstream& os, std::uint64_t v) { os << v << ' '; }
-
-void put_f64(std::ostringstream& os, double v) {
-  // C99 hexfloat: exact round-trip through strtod, independent of
-  // locale and precision settings.
+std::string hexfloat(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", v);
-  os << buf << ' ';
+  return buf;
 }
 
-class TokenReader {
- public:
-  explicit TokenReader(const std::string& text) : in_(text) {}
-  bool u64(std::uint64_t& v) {
-    std::string t;
-    if (!(in_ >> t) || t.empty()) return false;
-    char* end = nullptr;
-    errno = 0;
-    v = std::strtoull(t.c_str(), &end, 10);
-    return errno == 0 && end == t.c_str() + t.size();
-  }
-  bool f64(double& v) {
-    std::string t;
-    if (!(in_ >> t) || t.empty()) return false;
-    char* end = nullptr;
-    v = std::strtod(t.c_str(), &end);
-    return end == t.c_str() + t.size();
-  }
-  bool exhausted() {
-    std::string t;
-    return !(in_ >> t);
-  }
+namespace {
 
- private:
-  std::istringstream in_;
-};
+void put(std::string& out, std::uint64_t v) { out += std::to_string(v); }
+void put(std::string& out, double v) { out += hexfloat(v); }
+
+[[nodiscard]] bool parse_token(const std::string& t, std::uint64_t& v) {
+  char* end = nullptr;
+  errno = 0;
+  v = std::strtoull(t.c_str(), &end, 10);
+  return errno == 0 && end == t.c_str() + t.size();
+}
+
+[[nodiscard]] bool parse_token(const std::string& t, double& v) {
+  char* end = nullptr;
+  v = std::strtod(t.c_str(), &end);
+  return end == t.c_str() + t.size();
+}
 
 }  // namespace
 
 std::string serialize_sim_result(const SimResult& r) {
-  std::ostringstream os;
-  const core::CoreResult& c = r.core;
-  put_u64(os, c.cycles);
-  put_u64(os, c.committed);
-  put_f64(os, c.ipc);
-  put_u64(os, c.mispredict_squashes);
-  put_u64(os, c.deadlock_flushes);
-  put_u64(os, c.loads_executed);
-  put_u64(os, c.stores_committed);
-  put_u64(os, c.forwarded_loads);
-  put_u64(os, c.partial_forward_waits);
-  put_u64(os, c.agen_gated);
-  put_u64(os, c.value_mismatches);
-  put_u64(os, c.dcache_way_known);
-  put_u64(os, c.dcache_full);
-  put_u64(os, c.dtlb_accesses);
-  put_u64(os, c.dtlb_cached);
-  put_u64(os, c.quiescent_cycles_skipped);
-  put_u64(os, c.fast_forwards);
-  put_f64(os, r.lsq_energy_nj);
-  put_f64(os, r.lsq_distrib_nj);
-  put_f64(os, r.lsq_shared_nj);
-  put_f64(os, r.lsq_addrbuf_nj);
-  put_f64(os, r.lsq_bus_nj);
-  put_f64(os, r.dcache_energy_nj);
-  put_f64(os, r.dtlb_energy_nj);
-  put_f64(os, r.area_total);
-  put_f64(os, r.area_distrib);
-  put_f64(os, r.area_shared);
-  put_f64(os, r.area_addrbuf);
-  put_f64(os, r.shared_occupancy_mean);
-  put_u64(os, r.shared_occupancy_max);
-  put_f64(os, r.buffer_nonempty_frac);
-  put_f64(os, r.buffer_occupancy_mean);
-  put_u64(os, r.l1d_hits);
-  put_u64(os, r.l1d_misses);
-  put_u64(os, r.dtlb_hits);
-  put_u64(os, r.dtlb_misses);
-  put_u64(os, r.branch_mispredicts);
-  put_u64(os, r.branch_lookups);
-  for (std::size_t i = 0; i < LedgerCounts::kCount; ++i) {
-    put_u64(os, r.ledgers.v[i]);
+  std::string s;
+  for (const ResultField& f : result_fields()) {
+    if (!s.empty()) s += ' ';
+    std::visit([&s](auto v) { put(s, v); }, f.value(r));
   }
-  std::string s = os.str();
-  if (!s.empty() && s.back() == ' ') s.pop_back();
   return s;
 }
 
 bool parse_sim_result(const std::string& text, SimResult& out) {
-  TokenReader in(text);
+  std::istringstream in(text);
+  std::string t;
   SimResult r;
-  core::CoreResult& c = r.core;
-  const bool ok =
-      in.u64(c.cycles) && in.u64(c.committed) && in.f64(c.ipc) &&
-      in.u64(c.mispredict_squashes) && in.u64(c.deadlock_flushes) &&
-      in.u64(c.loads_executed) && in.u64(c.stores_committed) &&
-      in.u64(c.forwarded_loads) && in.u64(c.partial_forward_waits) &&
-      in.u64(c.agen_gated) && in.u64(c.value_mismatches) &&
-      in.u64(c.dcache_way_known) && in.u64(c.dcache_full) &&
-      in.u64(c.dtlb_accesses) && in.u64(c.dtlb_cached) &&
-      in.u64(c.quiescent_cycles_skipped) && in.u64(c.fast_forwards) &&
-      in.f64(r.lsq_energy_nj) && in.f64(r.lsq_distrib_nj) &&
-      in.f64(r.lsq_shared_nj) && in.f64(r.lsq_addrbuf_nj) &&
-      in.f64(r.lsq_bus_nj) && in.f64(r.dcache_energy_nj) &&
-      in.f64(r.dtlb_energy_nj) && in.f64(r.area_total) &&
-      in.f64(r.area_distrib) && in.f64(r.area_shared) &&
-      in.f64(r.area_addrbuf) && in.f64(r.shared_occupancy_mean) &&
-      in.u64(r.shared_occupancy_max) && in.f64(r.buffer_nonempty_frac) &&
-      in.f64(r.buffer_occupancy_mean) && in.u64(r.l1d_hits) &&
-      in.u64(r.l1d_misses) && in.u64(r.dtlb_hits) && in.u64(r.dtlb_misses) &&
-      in.u64(r.branch_mispredicts) && in.u64(r.branch_lookups);
-  if (!ok) return false;
-  for (std::size_t i = 0; i < LedgerCounts::kCount; ++i) {
-    if (!in.u64(r.ledgers.v[i])) return false;
+  for (const ResultField& f : result_fields()) {
+    if (!(in >> t) ||
+        !std::visit([&t](auto* p) { return parse_token(t, *p); }, f.at(r))) {
+      return false;
+    }
   }
-  if (!in.exhausted()) return false;
+  if (in >> t) return false;
   out = r;
   return true;
 }

@@ -121,10 +121,10 @@ struct CheckpointContents {
 
 // -- SimResult round-trip ----------------------------------------------------
 // Bit-exact text serialization shared by the sweep scheduler and the
-// perf harness: integers in decimal, doubles as C99 hexfloats ("%a"),
-// space-separated in a fixed field order. A resumed sweep reconstructs
-// the exact SimResult bits, so its CSV/JSON output is byte-identical to
-// an uninterrupted run's.
+// perf harness: one token per result_fields() row, in table order,
+// integers in decimal and doubles as C99 hexfloats, space-separated. A
+// resumed sweep reconstructs the exact SimResult bits, so its CSV/JSON
+// output is byte-identical to an uninterrupted run's.
 
 /// Space-separated field list (kSimResultFields tokens).
 [[nodiscard]] std::string serialize_sim_result(const SimResult& r);
@@ -133,10 +133,14 @@ struct CheckpointContents {
 /// count or an unparseable token (caller treats the record as torn).
 [[nodiscard]] bool parse_sim_result(const std::string& text, SimResult& out);
 
-/// Number of tokens serialize_sim_result emits; bumped in lockstep with
-/// SimResult so a stale checkpoint from an older build parses as torn
-/// instead of silently misassigning fields (38 legacy fields plus the
-/// 28 raw ledger counts sharded replay reconciles from).
+/// Number of tokens serialize_sim_result emits (38 statistics plus 28
+/// raw ledger counts), so a journal from a build with another table
+/// parses as torn. The SimResultWire test pins the token order as well:
+/// a reordered table cannot keep the count and misassign fields.
 inline constexpr std::size_t kSimResultFields = 66;
+
+/// C99 hexfloat ("%a"): round-trips bit-exactly through strtod,
+/// independent of locale and precision settings.
+[[nodiscard]] std::string hexfloat(double v);
 
 }  // namespace samie::sim

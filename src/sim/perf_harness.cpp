@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <iomanip>
 #include <limits>
 #include <map>
@@ -13,6 +14,7 @@
 #include <sstream>
 
 #include "src/sim/checkpoint.h"
+#include "src/sim/result_fields.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
@@ -27,14 +29,19 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-void json_number(std::ostream& os, double v) {
+template <typename T>
+void json_number(std::ostream& os, T v) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
 }
 
-[[nodiscard]] std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
+/// `, "key": value` for each column; doubles at full precision.
+void json_fields(std::ostream& os, std::initializer_list<ResultColumn> cols,
+                 const SimResult& s) {
+  for (const ResultColumn& c : cols) {
+    os << ", \"" << c.name() << "\": ";
+    std::visit([&os](auto v) { json_number(os, v); },
+               result_field(c.field).value(s));
+  }
 }
 
 /// Binds a measurement journal to its configuration (same role as
@@ -58,11 +65,11 @@ void json_number(std::ostream& os, double v) {
 [[nodiscard]] std::string encode_measurement(const char* lsq_tag,
                                              const HotpathProgramResult& pr) {
   std::ostringstream os;
-  os << lsq_tag << '\t' << pr.program << '\t' << hex_double(pr.best_wall_seconds)
+  os << lsq_tag << '\t' << pr.program << '\t' << hexfloat(pr.best_wall_seconds)
      << '\t';
   for (std::size_t i = 0; i < pr.wall_all.size(); ++i) {
     if (i != 0) os << ' ';
-    os << hex_double(pr.wall_all[i]);
+    os << hexfloat(pr.wall_all[i]);
   }
   os << '\t' << serialize_sim_result(pr.result);
   return os.str();
@@ -311,10 +318,8 @@ void write_hotpath_json(std::ostream& os, const HotpathReport& report) {
     for (std::size_t pi = 0; pi < lr.programs.size(); ++pi) {
       const HotpathProgramResult& pr = lr.programs[pi];
       const SimResult& s = pr.result;
-      os << "        {\"program\": \"" << pr.program << "\""
-         << ", \"cycles\": " << s.core.cycles
-         << ", \"committed\": " << s.core.committed << ", \"ipc\": ";
-      json_number(os, s.core.ipc);
+      os << "        {\"program\": \"" << pr.program << "\"";
+      json_fields(os, {{"cycles"}, {"committed"}, {"ipc"}}, s);
       os << ", \"wall_seconds\": ";
       json_number(os, pr.best_wall_seconds);
       os << ", \"wall_all\": [";
@@ -327,8 +332,8 @@ void write_hotpath_json(std::ostream& os, const HotpathReport& report) {
       // diffs): quiescent cycles fast-forwarded and their share. Under
       // --no-skip both are exact literal zeros, never a stale or
       // divide-by-zero artefact.
-      os << ", \"skipped_cycles\": " << s.core.quiescent_cycles_skipped
-         << ", \"skip_ratio\": ";
+      json_fields(os, {{"quiescent_cycles_skipped", "skipped_cycles"}}, s);
+      os << ", \"skip_ratio\": ";
       if (report.no_skip) {
         os << 0;
       } else {
@@ -336,22 +341,13 @@ void write_hotpath_json(std::ostream& os, const HotpathReport& report) {
                     skip_fraction(s.core.quiescent_cycles_skipped,
                                   s.core.cycles));
       }
-      os << ", \"mispredict_squashes\": " << s.core.mispredict_squashes
-         << ", \"deadlock_flushes\": " << s.core.deadlock_flushes
-         << ", \"forwarded_loads\": " << s.core.forwarded_loads
-         << ", \"value_mismatches\": " << s.core.value_mismatches
-         << ", \"lsq_energy_nj\": ";
-      json_number(os, s.lsq_energy_nj);
-      os << ", \"dcache_energy_nj\": ";
-      json_number(os, s.dcache_energy_nj);
-      os << ", \"dtlb_energy_nj\": ";
-      json_number(os, s.dtlb_energy_nj);
-      os << ", \"area_total\": ";
-      json_number(os, s.area_total);
-      os << ", \"shared_occupancy_mean\": ";
-      json_number(os, s.shared_occupancy_mean);
-      os << ", \"buffer_nonempty_frac\": ";
-      json_number(os, s.buffer_nonempty_frac);
+      json_fields(os,
+                  {{"mispredict_squashes"}, {"deadlock_flushes"},
+                   {"forwarded_loads"}, {"value_mismatches"},
+                   {"lsq_energy_nj"}, {"dcache_energy_nj"},
+                   {"dtlb_energy_nj"}, {"area_total"},
+                   {"shared_occupancy_mean"}, {"buffer_nonempty_frac"}},
+                  s);
       os << "}" << (pi + 1 < lr.programs.size() ? "," : "") << "\n";
     }
     os << "      ]\n";

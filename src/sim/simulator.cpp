@@ -13,6 +13,7 @@
 #include "src/lsq/conventional_lsq.h"
 #include "src/lsq/lsq_interface.h"
 #include "src/lsq/samie_lsq.h"
+#include "src/sim/result_fields.h"
 #include "src/sim/trace_shard.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_source.h"
@@ -167,8 +168,8 @@ class StatsCollector final {
 };
 
 // Each LSQ kind bundles its queue with the ledger it reports to (if
-// any) and the per-kind energy fold into SimResult. The bundle is all
-// that varies across LSQ kinds; the rest of the machine is uniform.
+// any). The bundle is all that varies across LSQ kinds; the rest of the
+// machine is uniform.
 
 struct ConvBundle {
   using Queue = lsq::ConventionalLsq;
@@ -177,7 +178,6 @@ struct ConvBundle {
   ConvBundle(const SimConfig& cfg, const energy::LsqEnergyConstants& k)
       : ledger(k), queue(cfg.conventional, &ledger) {}
   Queue& get() { return queue; }
-  void fold(SimResult& r) const { r.lsq_energy_nj = ledger.energy_pj() / 1e3; }
   void save_counts(LedgerCounts& c) const {
     ledger.save(c.v + LedgerCounts::kConv);
   }
@@ -189,7 +189,6 @@ struct UnboundedBundle {
   UnboundedBundle(const SimConfig& cfg, const energy::LsqEnergyConstants&)
       : queue(lsq::make_unbounded_lsq(cfg.core.rob_size)) {}
   Queue& get() { return *queue; }
-  void fold(SimResult&) const {}
   void save_counts(LedgerCounts&) const {}
 };
 
@@ -199,7 +198,6 @@ struct ArbBundle {
   ArbBundle(const SimConfig& cfg, const energy::LsqEnergyConstants&)
       : queue(cfg.arb) {}
   Queue& get() { return queue; }
-  void fold(SimResult&) const {}
   void save_counts(LedgerCounts&) const {}
 };
 
@@ -210,13 +208,6 @@ struct SamieBundle {
   SamieBundle(const SimConfig& cfg, const energy::LsqEnergyConstants& k)
       : ledger(k), queue(cfg.samie, &ledger) {}
   Queue& get() { return queue; }
-  void fold(SimResult& r) const {
-    r.lsq_energy_nj = ledger.energy_pj() / 1e3;
-    r.lsq_distrib_nj = ledger.distrib_pj() / 1e3;
-    r.lsq_shared_nj = ledger.shared_pj() / 1e3;
-    r.lsq_addrbuf_nj = ledger.addrbuf_pj() / 1e3;
-    r.lsq_bus_nj = ledger.bus_pj() / 1e3;
-  }
   void save_counts(LedgerCounts& c) const {
     ledger.save(c.v + LedgerCounts::kSamie);
   }
@@ -228,10 +219,7 @@ struct SamieBundle {
 /// the per-cycle observer hook — zero virtual calls in the cycle loop.
 template <typename Bundle>
 SimResult run_machine(const SimConfig& cfg, trace::TraceView trace) {
-  const energy::LsqEnergyConstants constants =
-      cfg.paper_energy_constants
-          ? energy::paper_constants()
-          : energy::derived_constants(energy::tech_100nm());
+  const energy::LsqEnergyConstants constants = energy_constants(cfg);
   energy::DcacheLedger dcache_ledger(constants);
   energy::DtlbLedger dtlb_ledger(constants);
   Bundle bundle(cfg, constants);
@@ -246,18 +234,16 @@ SimResult run_machine(const SimConfig& cfg, trace::TraceView trace) {
   SimResult r;
   r.core = machine.run(cfg.instructions);
   collector.fold_into(r);
-  r.dcache_energy_nj = dcache_ledger.energy_pj() / 1e3;
-  r.dtlb_energy_nj = dtlb_ledger.energy_pj() / 1e3;
   r.l1d_hits = memory.l1d().hits();
   r.l1d_misses = memory.l1d().misses();
   r.dtlb_hits = memory.dtlb().hits();
   r.dtlb_misses = memory.dtlb().misses();
   r.branch_mispredicts = predictor.mispredicts();
   r.branch_lookups = predictor.lookups();
-  bundle.fold(r);
   dcache_ledger.save(r.ledgers.v + LedgerCounts::kDcache);
   dtlb_ledger.save(r.ledgers.v + LedgerCounts::kDtlb);
   bundle.save_counts(r.ledgers);
+  fold_energies(r, cfg);
   return r;
 }
 

@@ -62,11 +62,9 @@ constexpr Clock::time_point kNever = Clock::time_point::max();
 
 [[nodiscard]] std::string encode_head(std::size_t index, const Job& job,
                                       const JobOutcome& oc) {
-  char wall[48];
-  std::snprintf(wall, sizeof wall, "%a", oc.wall_seconds);  // exact
   std::ostringstream os;
   os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << wall << '\t';
+     << '\t' << hexfloat(oc.wall_seconds) << '\t';
   return os.str();
 }
 

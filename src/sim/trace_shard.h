@@ -59,24 +59,20 @@ struct TraceShardJob {
     const Job& base, std::uint32_t shards, std::uint64_t warmup);
 
 /// Measured-region statistics as the difference of two complete runs of
-/// the same machine (whole minus base). Integer counters subtract in
+/// the same machine (whole minus base), field by field under its
+/// FieldKind's rule (result_fields.h). Integer counters subtract in
 /// wrap-around space — per-shard values can transiently "borrow" when a
 /// drain effect lands in the base run, and the borrow cancels exactly in
-/// the telescoped sum. Energies are re-folded from the subtracted raw
-/// ledger counts through `cfg`'s constants; ipc is recomputed; occupancy
-/// means are reconstructed cycle-weighted; area integrals subtract in FP
-/// (approximate).
+/// the telescoped sum. Means and area integrals are FP (approximate).
 [[nodiscard]] SimResult subtract_measured(const SimResult& whole,
                                           const SimResult& base,
                                           const SimConfig& cfg);
 
-/// Reconciles per-shard measured results into one whole-trace result:
-/// integer counters and raw ledger counts sum (associative, any order),
-/// energies re-fold from the summed counts, ipc is recomputed, occupancy
-/// means merge cycle-weighted, maxima take the max, area integrals sum.
-/// With full warm-up the integer fields and every energy are bit-equal
-/// to the unsharded run over the same region. Throws
-/// std::invalid_argument on an empty vector.
+/// Reconciles per-shard measured results into one whole-trace result,
+/// field by field under its FieldKind's rule (integer sums are
+/// associative, any order). With full warm-up the integer fields and
+/// every energy are bit-equal to the unsharded run over the same region.
+/// Throws std::invalid_argument on an empty vector.
 [[nodiscard]] SimResult merge_shard_results(
     const std::vector<SimResult>& shards, const SimConfig& cfg);
 

@@ -1,0 +1,37 @@
+// Table-driven SimResult comparison shared by the tests: walks
+// result_fields() (src/sim/result_fields.h), so a new statistic is
+// compared everywhere as soon as it has a table row.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <initializer_list>
+#include <string>
+
+#include "src/sim/result_fields.h"
+
+namespace samie::sim {
+
+inline constexpr std::initializer_list<FieldKind> kAllFieldKinds = {
+    FieldKind::kCounter, FieldKind::kEngineCounter, FieldKind::kMax,
+    FieldKind::kLedger,  FieldKind::kEnergy,        FieldKind::kRatio,
+    FieldKind::kMean,    FieldKind::kArea};
+
+/// Expects every field of `got` whose kind is in `kinds` (default: all)
+/// to equal `want`'s exactly (doubles with ==, no tolerance).
+inline void expect_fields_equal(const SimResult& got, const SimResult& want,
+                                std::initializer_list<FieldKind> kinds =
+                                    kAllFieldKinds,
+                                const std::string& what = "") {
+  for (const ResultField& f : result_fields()) {
+    if (std::find(kinds.begin(), kinds.end(), f.kind) == kinds.end()) continue;
+    if (std::holds_alternative<std::uint64_t>(f.value(want))) {
+      EXPECT_EQ(f.u64(got), f.u64(want)) << what << ": " << f.name;
+    } else {
+      EXPECT_EQ(f.f64(got), f.f64(want)) << what << ": " << f.name;
+    }
+  }
+}
+
+}  // namespace samie::sim

@@ -2,9 +2,10 @@
 // ledger.h): the O(1) count*pj fold must agree with legacy per-event FP
 // accumulation on randomized event streams, the fused placement hook
 // must be count-identical to the per-event hook sequence it batches,
-// and ledger merging must be exactly associative (integer counts make
-// the folded energy of merged shards bit-identical to one ledger fed
-// the concatenated stream).
+// and ledger merging — save(), element-wise integer sum, load(), the
+// path sharded replay takes — must be exactly associative (integer
+// counts make the folded energy of merged shards bit-identical to one
+// ledger fed the concatenated stream).
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -190,10 +191,24 @@ TEST(EnergyFold, FusedPlacementHookEqualsPerEventHooks) {
   EXPECT_EQ(fused.bus_pj(), unfused.bus_pj());
 }
 
+/// Merges two ledgers the way sharded replay does: save() both into
+/// flat count arrays, add them element-wise as integers, load() the sum.
+template <typename Ledger>
+Ledger merged(const Ledger& a, const Ledger& b, const LsqEnergyConstants& k) {
+  std::uint64_t ca[Ledger::kSavedCounts];
+  std::uint64_t cb[Ledger::kSavedCounts];
+  a.save(ca);
+  b.save(cb);
+  for (std::size_t i = 0; i < Ledger::kSavedCounts; ++i) ca[i] += cb[i];
+  Ledger m(k);
+  m.load(ca);
+  return m;
+}
+
 TEST(EnergyFold, MergeIsExactlyAssociative) {
-  // fold(A merge B) == fold(A concat B), bitwise: merged integer counts
-  // equal the concatenated stream's counts, and identical counts run the
-  // identical fold arithmetic.
+  // fold(A merge B) == fold(A concat B), bitwise, in both merge orders:
+  // merged integer counts equal the concatenated stream's counts, and
+  // identical counts run the identical fold arithmetic.
   const LsqEnergyConstants k = paper_constants();
   const std::vector<SamieEvent> a = random_stream(11, 7'000);
   const std::vector<SamieEvent> b = random_stream(22, 13'000);
@@ -209,14 +224,13 @@ TEST(EnergyFold, MergeIsExactlyAssociative) {
     charge_ledger(lb, e);
     charge_ledger(lab, e);
   }
-  SamieLsqLedger merged(k);
-  merged.merge(lb);  // order must not matter
-  merged.merge(la);
-  EXPECT_EQ(merged.energy_pj(), lab.energy_pj());
-  EXPECT_EQ(merged.distrib_pj(), lab.distrib_pj());
-  EXPECT_EQ(merged.shared_pj(), lab.shared_pj());
-  EXPECT_EQ(merged.addrbuf_pj(), lab.addrbuf_pj());
-  EXPECT_EQ(merged.bus_pj(), lab.bus_pj());
+  for (const SamieLsqLedger& m : {merged(la, lb, k), merged(lb, la, k)}) {
+    EXPECT_EQ(m.energy_pj(), lab.energy_pj());
+    EXPECT_EQ(m.distrib_pj(), lab.distrib_pj());
+    EXPECT_EQ(m.shared_pj(), lab.shared_pj());
+    EXPECT_EQ(m.addrbuf_pj(), lab.addrbuf_pj());
+    EXPECT_EQ(m.bus_pj(), lab.bus_pj());
+  }
 
   ConvLsqLedger ca(k);
   ConvLsqLedger cb(k);
@@ -231,8 +245,8 @@ TEST(EnergyFold, MergeIsExactlyAssociative) {
     cab.on_addr_search(n);
     cab.on_datum_write();
   }
-  ca.merge(cb);
-  EXPECT_EQ(ca.energy_pj(), cab.energy_pj());
+  EXPECT_EQ(merged(ca, cb, k).energy_pj(), cab.energy_pj());
+  EXPECT_EQ(merged(cb, ca, k).energy_pj(), cab.energy_pj());
 
   DcacheLedger da(k), db(k), dab(k);
   da.on_full_access();
@@ -241,8 +255,8 @@ TEST(EnergyFold, MergeIsExactlyAssociative) {
   dab.on_full_access();
   dab.on_way_known_access();
   dab.on_way_known_access();
-  da.merge(db);
-  EXPECT_EQ(da.energy_pj(), dab.energy_pj());
+  EXPECT_EQ(merged(da, db, k).energy_pj(), dab.energy_pj());
+  EXPECT_EQ(merged(db, da, k).energy_pj(), dab.energy_pj());
 
   DtlbLedger ta(k), tb(k), tab(k);
   ta.on_access();
@@ -251,9 +265,10 @@ TEST(EnergyFold, MergeIsExactlyAssociative) {
   tab.on_access();
   tab.on_access();
   tab.on_cached_translation();
-  ta.merge(tb);
-  EXPECT_EQ(ta.energy_pj(), tab.energy_pj());
-  EXPECT_EQ(ta.cached_translations(), tab.cached_translations());
+  for (const DtlbLedger& m : {merged(ta, tb, k), merged(tb, ta, k)}) {
+    EXPECT_EQ(m.energy_pj(), tab.energy_pj());
+    EXPECT_EQ(m.cached_translations(), tab.cached_translations());
+  }
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "src/lsq/samie_lsq.h"
 #include "src/sim/sim_config.h"
 #include "src/sim/simulator.h"
+#include "tests/expect_result_fields.h"
 
 namespace samie::sim {
 namespace {
@@ -50,50 +51,13 @@ SimResult expect_engines_identical(SimConfig cfg, const std::string& program,
   EXPECT_EQ(step.core.quiescent_cycles_skipped, 0U) << what;
   EXPECT_EQ(step.core.fast_forwards, 0U) << what;
 
-  // Timing.
-  EXPECT_EQ(fast.core.cycles, step.core.cycles) << what;
-  EXPECT_EQ(fast.core.committed, step.core.committed) << what;
-  EXPECT_EQ(fast.core.ipc, step.core.ipc) << what;
-  // Recovery and LSQ counters.
-  EXPECT_EQ(fast.core.mispredict_squashes, step.core.mispredict_squashes) << what;
-  EXPECT_EQ(fast.core.deadlock_flushes, step.core.deadlock_flushes) << what;
-  EXPECT_EQ(fast.core.loads_executed, step.core.loads_executed) << what;
-  EXPECT_EQ(fast.core.stores_committed, step.core.stores_committed) << what;
-  EXPECT_EQ(fast.core.forwarded_loads, step.core.forwarded_loads) << what;
-  EXPECT_EQ(fast.core.partial_forward_waits, step.core.partial_forward_waits)
-      << what;
-  EXPECT_EQ(fast.core.agen_gated, step.core.agen_gated) << what;
-  EXPECT_EQ(fast.core.value_mismatches, step.core.value_mismatches) << what;
-  EXPECT_EQ(fast.core.dcache_way_known, step.core.dcache_way_known) << what;
-  EXPECT_EQ(fast.core.dcache_full, step.core.dcache_full) << what;
-  EXPECT_EQ(fast.core.dtlb_accesses, step.core.dtlb_accesses) << what;
-  EXPECT_EQ(fast.core.dtlb_cached, step.core.dtlb_cached) << what;
+  // Every simulation statistic; the engine counters differ by design.
+  expect_fields_equal(fast, step,
+                      {FieldKind::kCounter, FieldKind::kMax,
+                       FieldKind::kLedger, FieldKind::kEnergy,
+                       FieldKind::kRatio, FieldKind::kMean, FieldKind::kArea},
+                      what);
   EXPECT_EQ(fast.core.value_mismatches, 0U) << what << ": ordering bug";
-  // Energies (exact double equality: same FP operation sequence).
-  EXPECT_EQ(fast.lsq_energy_nj, step.lsq_energy_nj) << what;
-  EXPECT_EQ(fast.lsq_distrib_nj, step.lsq_distrib_nj) << what;
-  EXPECT_EQ(fast.lsq_shared_nj, step.lsq_shared_nj) << what;
-  EXPECT_EQ(fast.lsq_addrbuf_nj, step.lsq_addrbuf_nj) << what;
-  EXPECT_EQ(fast.lsq_bus_nj, step.lsq_bus_nj) << what;
-  EXPECT_EQ(fast.dcache_energy_nj, step.dcache_energy_nj) << what;
-  EXPECT_EQ(fast.dtlb_energy_nj, step.dtlb_energy_nj) << what;
-  // Per-cycle occupancy integrals — the part the batched observer replay
-  // must keep bit-identical over skipped spans.
-  EXPECT_EQ(fast.area_total, step.area_total) << what;
-  EXPECT_EQ(fast.area_distrib, step.area_distrib) << what;
-  EXPECT_EQ(fast.area_shared, step.area_shared) << what;
-  EXPECT_EQ(fast.area_addrbuf, step.area_addrbuf) << what;
-  EXPECT_EQ(fast.shared_occupancy_mean, step.shared_occupancy_mean) << what;
-  EXPECT_EQ(fast.shared_occupancy_max, step.shared_occupancy_max) << what;
-  EXPECT_EQ(fast.buffer_occupancy_mean, step.buffer_occupancy_mean) << what;
-  EXPECT_EQ(fast.buffer_nonempty_frac, step.buffer_nonempty_frac) << what;
-  // Memory system and branch state (identical access sequences).
-  EXPECT_EQ(fast.l1d_hits, step.l1d_hits) << what;
-  EXPECT_EQ(fast.l1d_misses, step.l1d_misses) << what;
-  EXPECT_EQ(fast.dtlb_hits, step.dtlb_hits) << what;
-  EXPECT_EQ(fast.dtlb_misses, step.dtlb_misses) << what;
-  EXPECT_EQ(fast.branch_mispredicts, step.branch_mispredicts) << what;
-  EXPECT_EQ(fast.branch_lookups, step.branch_lookups) << what;
   return fast;
 }
 

@@ -20,6 +20,7 @@
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload.h"
+#include "tests/expect_result_fields.h"
 
 namespace samie {
 namespace {
@@ -73,48 +74,19 @@ class ShardReplayTest : public ::testing::Test {
     return sim::merge_shard_results(parts, base_cfg);
   }
 
-  /// Asserts every integer counter, raw ledger count and refolded
-  /// energy of `got` equals `want` exactly. FP occupancy means and the
-  /// FP area integrals are documented-approximate under sharding and
-  /// deliberately not compared here.
+  /// Asserts every integer counter, maximum (the last shard's whole run
+  /// is the unsharded run), raw ledger count and refolded energy of
+  /// `got` equals `want` exactly, and ipc (committed/cycles of equal
+  /// integers). FP occupancy means and the FP area integrals are
+  /// documented-approximate under sharding and deliberately not
+  /// compared here.
   static void expect_exact(const sim::SimResult& got,
                            const sim::SimResult& want) {
-    const core::CoreResult& g = got.core;
-    const core::CoreResult& w = want.core;
-    EXPECT_EQ(g.cycles, w.cycles);
-    EXPECT_EQ(g.committed, w.committed);
-    EXPECT_EQ(g.ipc, w.ipc);  // committed/cycles of equal integers
-    EXPECT_EQ(g.mispredict_squashes, w.mispredict_squashes);
-    EXPECT_EQ(g.deadlock_flushes, w.deadlock_flushes);
-    EXPECT_EQ(g.loads_executed, w.loads_executed);
-    EXPECT_EQ(g.stores_committed, w.stores_committed);
-    EXPECT_EQ(g.forwarded_loads, w.forwarded_loads);
-    EXPECT_EQ(g.partial_forward_waits, w.partial_forward_waits);
-    EXPECT_EQ(g.agen_gated, w.agen_gated);
-    EXPECT_EQ(g.value_mismatches, w.value_mismatches);
-    EXPECT_EQ(g.dcache_way_known, w.dcache_way_known);
-    EXPECT_EQ(g.dcache_full, w.dcache_full);
-    EXPECT_EQ(g.dtlb_accesses, w.dtlb_accesses);
-    EXPECT_EQ(g.dtlb_cached, w.dtlb_cached);
-    EXPECT_EQ(g.quiescent_cycles_skipped, w.quiescent_cycles_skipped);
-    EXPECT_EQ(g.fast_forwards, w.fast_forwards);
-    EXPECT_EQ(got.l1d_hits, want.l1d_hits);
-    EXPECT_EQ(got.l1d_misses, want.l1d_misses);
-    EXPECT_EQ(got.dtlb_hits, want.dtlb_hits);
-    EXPECT_EQ(got.dtlb_misses, want.dtlb_misses);
-    EXPECT_EQ(got.branch_mispredicts, want.branch_mispredicts);
-    EXPECT_EQ(got.branch_lookups, want.branch_lookups);
-    for (std::size_t i = 0; i < sim::LedgerCounts::kCount; ++i) {
-      EXPECT_EQ(got.ledgers.v[i], want.ledgers.v[i]) << "ledger count " << i;
-    }
-    // Energies refold from the summed integer counts: bit-identical.
-    EXPECT_EQ(got.lsq_energy_nj, want.lsq_energy_nj);
-    EXPECT_EQ(got.lsq_distrib_nj, want.lsq_distrib_nj);
-    EXPECT_EQ(got.lsq_shared_nj, want.lsq_shared_nj);
-    EXPECT_EQ(got.lsq_addrbuf_nj, want.lsq_addrbuf_nj);
-    EXPECT_EQ(got.lsq_bus_nj, want.lsq_bus_nj);
-    EXPECT_EQ(got.dcache_energy_nj, want.dcache_energy_nj);
-    EXPECT_EQ(got.dtlb_energy_nj, want.dtlb_energy_nj);
+    sim::expect_fields_equal(
+        got, want,
+        {sim::FieldKind::kCounter, sim::FieldKind::kEngineCounter,
+         sim::FieldKind::kMax, sim::FieldKind::kLedger,
+         sim::FieldKind::kEnergy, sim::FieldKind::kRatio});
   }
 
   fs::path dir_;

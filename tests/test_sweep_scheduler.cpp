@@ -618,6 +618,63 @@ TEST(SimResultRoundTrip, IsBitExactForAwkwardDoubles) {
   EXPECT_FALSE(sim::parse_sim_result(mangled, back));
 }
 
+TEST(SimResultWire, SerializedStringIsPinned) {
+  // Every field holds a different value, set by member name, so the
+  // literal pins the token ORDER as well as the count: a reordered field
+  // table keeps kSimResultFields but would load journals and frames
+  // written by older builds into the wrong fields. Changing this string
+  // means bumping kSimResultFields and kFrameVersion together.
+  sim::SimResult r;
+  r.core.cycles = 101;
+  r.core.committed = 102;
+  r.core.ipc = 1.5;
+  r.core.mispredict_squashes = 103;
+  r.core.deadlock_flushes = 104;
+  r.core.loads_executed = 105;
+  r.core.stores_committed = 106;
+  r.core.forwarded_loads = 107;
+  r.core.partial_forward_waits = 108;
+  r.core.agen_gated = 109;
+  r.core.value_mismatches = 110;
+  r.core.dcache_way_known = 111;
+  r.core.dcache_full = 112;
+  r.core.dtlb_accesses = 113;
+  r.core.dtlb_cached = 114;
+  r.core.quiescent_cycles_skipped = 115;
+  r.core.fast_forwards = 116;
+  r.lsq_energy_nj = 2.25;
+  r.lsq_distrib_nj = 3.25;
+  r.lsq_shared_nj = 4.25;
+  r.lsq_addrbuf_nj = 5.25;
+  r.lsq_bus_nj = 6.25;
+  r.dcache_energy_nj = 7.25;
+  r.dtlb_energy_nj = 8.25;
+  r.area_total = 9.5;
+  r.area_distrib = 10.5;
+  r.area_shared = 11.5;
+  r.area_addrbuf = 12.5;
+  r.shared_occupancy_mean = 0.125;
+  r.shared_occupancy_max = 117;
+  r.buffer_nonempty_frac = 0.375;
+  r.buffer_occupancy_mean = 0.625;
+  r.l1d_hits = 118;
+  r.l1d_misses = 119;
+  r.dtlb_hits = 120;
+  r.dtlb_misses = 121;
+  r.branch_mispredicts = 122;
+  r.branch_lookups = 123;
+  for (std::size_t i = 0; i < sim::LedgerCounts::kCount; ++i) {
+    r.ledgers.v[i] = 200 + i;
+  }
+  EXPECT_EQ(sim::serialize_sim_result(r),
+            "101 102 0x1.8p+0 103 104 105 106 107 108 109 110 111 112 113 "
+            "114 115 116 0x1.2p+1 0x1.ap+1 0x1.1p+2 0x1.5p+2 0x1.9p+2 "
+            "0x1.dp+2 0x1.08p+3 0x1.3p+3 0x1.5p+3 0x1.7p+3 0x1.9p+3 0x1p-3 "
+            "117 0x1.8p-2 0x1.4p-1 118 119 120 121 122 123 200 201 202 203 "
+            "204 205 206 207 208 209 210 211 212 213 214 215 216 217 218 "
+            "219 220 221 222 223 224 225 226 227");
+}
+
 // ------------------------------------------------- trace-damage outcomes --
 //
 // Injected I/O faults (short-read, bit-flip) surface as the structured

@@ -19,6 +19,7 @@
 #include "src/trace/trace_source.h"
 #include "src/trace/trace_view.h"
 #include "src/trace/workload.h"
+#include "tests/expect_result_fields.h"
 
 namespace samie {
 namespace {
@@ -74,47 +75,6 @@ void expect_ops_equal(trace::TraceView a, trace::TraceView b) {
     ASSERT_EQ(a[i].dst, b[i].dst) << "op " << i;
     ASSERT_EQ(a[i].taken, b[i].taken) << "op " << i;
   }
-}
-
-/// Full bitwise comparison of two SimResults (every counter and every
-/// double must match exactly — replay is contractually deterministic).
-void expect_results_identical(const sim::SimResult& a, const sim::SimResult& b) {
-  EXPECT_EQ(a.core.cycles, b.core.cycles);
-  EXPECT_EQ(a.core.committed, b.core.committed);
-  EXPECT_EQ(a.core.ipc, b.core.ipc);
-  EXPECT_EQ(a.core.mispredict_squashes, b.core.mispredict_squashes);
-  EXPECT_EQ(a.core.deadlock_flushes, b.core.deadlock_flushes);
-  EXPECT_EQ(a.core.loads_executed, b.core.loads_executed);
-  EXPECT_EQ(a.core.stores_committed, b.core.stores_committed);
-  EXPECT_EQ(a.core.forwarded_loads, b.core.forwarded_loads);
-  EXPECT_EQ(a.core.partial_forward_waits, b.core.partial_forward_waits);
-  EXPECT_EQ(a.core.agen_gated, b.core.agen_gated);
-  EXPECT_EQ(a.core.value_mismatches, b.core.value_mismatches);
-  EXPECT_EQ(a.core.dcache_way_known, b.core.dcache_way_known);
-  EXPECT_EQ(a.core.dcache_full, b.core.dcache_full);
-  EXPECT_EQ(a.core.dtlb_accesses, b.core.dtlb_accesses);
-  EXPECT_EQ(a.core.dtlb_cached, b.core.dtlb_cached);
-  EXPECT_EQ(a.lsq_energy_nj, b.lsq_energy_nj);
-  EXPECT_EQ(a.lsq_distrib_nj, b.lsq_distrib_nj);
-  EXPECT_EQ(a.lsq_shared_nj, b.lsq_shared_nj);
-  EXPECT_EQ(a.lsq_addrbuf_nj, b.lsq_addrbuf_nj);
-  EXPECT_EQ(a.lsq_bus_nj, b.lsq_bus_nj);
-  EXPECT_EQ(a.dcache_energy_nj, b.dcache_energy_nj);
-  EXPECT_EQ(a.dtlb_energy_nj, b.dtlb_energy_nj);
-  EXPECT_EQ(a.area_total, b.area_total);
-  EXPECT_EQ(a.area_distrib, b.area_distrib);
-  EXPECT_EQ(a.area_shared, b.area_shared);
-  EXPECT_EQ(a.area_addrbuf, b.area_addrbuf);
-  EXPECT_EQ(a.shared_occupancy_mean, b.shared_occupancy_mean);
-  EXPECT_EQ(a.shared_occupancy_max, b.shared_occupancy_max);
-  EXPECT_EQ(a.buffer_nonempty_frac, b.buffer_nonempty_frac);
-  EXPECT_EQ(a.buffer_occupancy_mean, b.buffer_occupancy_mean);
-  EXPECT_EQ(a.l1d_hits, b.l1d_hits);
-  EXPECT_EQ(a.l1d_misses, b.l1d_misses);
-  EXPECT_EQ(a.dtlb_hits, b.dtlb_hits);
-  EXPECT_EQ(a.dtlb_misses, b.dtlb_misses);
-  EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
-  EXPECT_EQ(a.branch_lookups, b.branch_lookups);
 }
 
 // ------------------------------------------------------------ round trip --
@@ -272,12 +232,12 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
     const sim::SimResult in_memory = sim::run_simulation(cfg, t);
     const sim::SimResult via_mmap = sim::run_simulation(cfg, mapped.view());
     const sim::SimResult via_reader = sim::run_simulation(cfg, copied);
-    expect_results_identical(in_memory, via_mmap);
-    expect_results_identical(in_memory, via_reader);
+    sim::expect_fields_equal(in_memory, via_mmap);
+    sim::expect_fields_equal(in_memory, via_reader);
     // And through the cfg.trace_path front door.
     sim::SimConfig replay_cfg = cfg;
     replay_cfg.trace_path = path("ammp.samt");
-    expect_results_identical(in_memory, sim::run_trace_file(replay_cfg));
+    sim::expect_fields_equal(in_memory, sim::run_trace_file(replay_cfg));
   }
 }
 
@@ -302,7 +262,7 @@ TEST_F(TraceIoTest, RunJobsSharesOneMappingAcrossLsqSweep) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     sim::SimConfig cfg = jobs[i].config;
     cfg.trace_path.clear();
-    expect_results_identical(sim::run_simulation(cfg, t), results[i].result);
+    sim::expect_fields_equal(sim::run_simulation(cfg, t), results[i].result);
   }
 }
 

@@ -8,10 +8,12 @@
 # reproduce the existing golden unchanged. The regenerated file is
 # reviewed like code: the diff IS the behavioral change.
 #
-# Usage: tools/regen_goldens.sh [build-dir]     (default: build)
+# Usage: tools/regen_goldens.sh [build-dir [out-file]]
+#   (defaults: build, and the golden itself)
 #
-# The command matrix below is the single source of truth; CI's check
-# runs the identical loop and compares instead of overwriting.
+# The command matrix below is the single source of truth: the
+# golden_stats_csv ctest writes it to an out-file and compares; CI's
+# check runs the identical loop under every runner and compares.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -24,10 +26,10 @@ if [ ! -x "$sim" ]; then
   exit 1
 fi
 
-out="$repo/tests/golden/stats_mini_suite.csv"
+out=${2:-"$repo/tests/golden/stats_mini_suite.csv"}
 tmp="$out.tmp"
 for lsq in conventional arb samie; do
-  "$sim" --lsq="$lsq" --insts=20000 --csv gcc ammp mcf
+  "$sim" --lsq="$lsq" --insts=20000 --threads=1 --csv gcc ammp mcf
 done > "$tmp"
 mv "$tmp" "$out"
 echo "regen_goldens: wrote $out ($(wc -l < "$out") lines)" >&2

@@ -106,11 +106,13 @@
 #include <initializer_list>
 #include <iostream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/table.h"
 #include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
+#include "src/sim/result_fields.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/sim/trace_shard.h"
@@ -122,6 +124,19 @@
 namespace {
 
 using namespace samie;
+
+/// The --csv columns after program and lsq, in order; the goldens in
+/// tests/golden/ pin them byte for byte.
+constexpr sim::ResultColumn kCsvColumns[] = {
+    {"committed", "instructions"}, {"cycles"}, {"ipc"},
+    {"mispredict_squashes"}, {"deadlock_flushes"}, {"forwarded_loads"},
+    {"lsq_energy_nj"}, {"lsq_distrib_nj"}, {"lsq_shared_nj"},
+    {"lsq_addrbuf_nj"}, {"lsq_bus_nj"}, {"dcache_energy_nj"},
+    {"dtlb_energy_nj"}, {"dcache_way_known"}, {"dcache_full"},
+    {"dtlb_cached"}, {"dtlb_accesses"},
+    {"shared_occupancy_mean", "shared_occ_mean"},
+    {"buffer_nonempty_frac", "buffer_busy_frac"}, {"area_total"},
+    {"value_mismatches"}};
 
 [[noreturn]] void usage_error(const std::string& what) {
   std::cerr << "samie_sim: " << what << " (see the header of tools/samie_sim.cpp)\n";
@@ -538,26 +553,17 @@ int main(int argc, char** argv) {
   }
 
   if (csv) {
-    std::cout << "program,lsq,instructions,cycles,ipc,mispredict_squashes,"
-                 "deadlock_flushes,forwarded_loads,lsq_energy_nj,"
-                 "lsq_distrib_nj,lsq_shared_nj,lsq_addrbuf_nj,lsq_bus_nj,"
-                 "dcache_energy_nj,dtlb_energy_nj,dcache_way_known,"
-                 "dcache_full,dtlb_cached,dtlb_accesses,shared_occ_mean,"
-                 "buffer_busy_frac,area_total,value_mismatches\n";
+    std::cout << "program,lsq";
+    for (const sim::ResultColumn& c : kCsvColumns) std::cout << ',' << c.name();
+    std::cout << '\n';
     for (const auto& r : results) {
-      const auto& s = r.result;
-      std::cout << r.job.program << ',' << r.job.tag << ','
-                << s.core.committed << ',' << s.core.cycles << ','
-                << s.core.ipc << ',' << s.core.mispredict_squashes << ','
-                << s.core.deadlock_flushes << ',' << s.core.forwarded_loads
-                << ',' << s.lsq_energy_nj << ',' << s.lsq_distrib_nj << ','
-                << s.lsq_shared_nj << ',' << s.lsq_addrbuf_nj << ','
-                << s.lsq_bus_nj << ',' << s.dcache_energy_nj << ','
-                << s.dtlb_energy_nj << ',' << s.core.dcache_way_known << ','
-                << s.core.dcache_full << ',' << s.core.dtlb_cached << ','
-                << s.core.dtlb_accesses << ',' << s.shared_occupancy_mean
-                << ',' << s.buffer_nonempty_frac << ',' << s.area_total << ','
-                << s.core.value_mismatches << '\n';
+      std::cout << r.job.program << ',' << r.job.tag;
+      for (const sim::ResultColumn& c : kCsvColumns) {
+        std::cout << ',';
+        std::visit([](auto v) { std::cout << v; },
+                   sim::result_field(c.field).value(r.result));
+      }
+      std::cout << '\n';
     }
     return ran_sweep ? sim::sweep_exit_code(report) : 0;
   }

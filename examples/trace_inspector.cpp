@@ -7,8 +7,8 @@
 //
 // Arguments naming a file are opened as recorded SAMT traces: the header
 // (version, record count, provenance, checksum) is dumped and the same
-// statistics are computed over the mmap'd records — without copying the
-// trace to the heap. Other arguments are SPEC2000 profile names.
+// statistics are computed over the verified records. Other arguments are
+// SPEC2000 profile names.
 //
 // --verify mode instead deep-walks each named SAMT file checking every
 // integrity guard (v1: whole-file checksum; v2: footer, index and every

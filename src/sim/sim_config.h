@@ -35,13 +35,9 @@ struct SimConfig {
   std::uint64_t instructions = 300'000;
   std::uint64_t seed = 42;
   /// When non-empty, the workload is the recorded SAMT trace at this path
-  /// (replayed via mmap) instead of a (profile, seed, length) triple;
-  /// `instructions` then caps how much of the trace is replayed.
+  /// (read and verified into RAM) instead of a (profile, seed, length)
+  /// triple; `instructions` then caps how much of the trace is replayed.
   std::string trace_path;
-  /// Verify the SAMT FNV-1a checksum when opening `trace_path` (touches
-  /// every page once). `samie_sim --no-verify-checksum` clears it for
-  /// mmap replay hot paths re-opening an already-verified trace.
-  bool verify_trace_checksum = true;
 
   // -- sharded long-trace replay (docs/SWEEP_ROBUSTNESS.md) --------------------
   /// Measured record range [trace_measure_begin, trace_measure_end) of
@@ -64,6 +60,18 @@ struct SimConfig {
     const SimConfig& cfg) noexcept {
   return cfg.trace_warmup < cfg.trace_measure_begin ? cfg.trace_warmup
                                                     : cfg.trace_measure_begin;
+}
+
+/// Records [begin, end) of `trace_path` a job opens: its measured range
+/// plus the warm-up prefix ahead of it. Whole-trace jobs open [0, ~0).
+struct TraceRange {
+  std::uint64_t begin = 0;
+  std::uint64_t end = ~std::uint64_t{0};
+};
+[[nodiscard]] inline TraceRange trace_open_range(const SimConfig& cfg) noexcept {
+  return {cfg.trace_measure_begin - effective_trace_warmup(cfg),
+          cfg.trace_measure_end != 0 ? cfg.trace_measure_end
+                                     : ~std::uint64_t{0}};
 }
 
 /// The paper's evaluation configuration with the given LSQ choice.

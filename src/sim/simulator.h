@@ -74,9 +74,9 @@ struct SimResult {
 };
 
 /// Runs `cfg` over `trace` (a fresh machine per call; deterministic).
-/// The view's backing storage — an owned Trace, a TraceSource, a file
-/// mapping — must stay alive for the duration of the call; `const
-/// trace::Trace&` call sites convert implicitly.
+/// The view's backing storage — an owned Trace or a TraceSource — must
+/// stay alive for the duration of the call; `const trace::Trace&` call
+/// sites convert implicitly.
 [[nodiscard]] SimResult run_simulation(const SimConfig& cfg,
                                        trace::TraceView trace);
 
@@ -85,8 +85,10 @@ struct SimResult {
                                     const std::string& program);
 
 /// Convenience: replays the recorded SAMT trace at `cfg.trace_path`
-/// (mmap, zero-copy). Throws trace::TraceFormatError on malformed files
-/// and std::invalid_argument when `cfg.trace_path` is empty.
+/// (records trace_open_range(cfg), read and verified by
+/// trace::read_samt). Throws trace::TraceFormatError on malformed files,
+/// trace::TraceCorruptError on damaged ones, and std::invalid_argument
+/// when `cfg.trace_path` is empty.
 [[nodiscard]] SimResult run_trace_file(const SimConfig& cfg);
 
 }  // namespace samie::sim

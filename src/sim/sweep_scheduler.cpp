@@ -211,8 +211,8 @@ class AttemptRunner {
 /// N worker threads run run_simulation under per-slot cooperative cancel
 /// tokens (the core polls its token on stepped cycles, off the
 /// fast-forward path, so statistics are bit-identical with or without
-/// one). Workers acquire the trace themselves, so generation and mmap
-/// run in parallel, and post completion events back.
+/// one). Workers acquire the trace themselves, so generation and SAMT
+/// reads run in parallel, and post completion events back.
 class ThreadRunner final : public AttemptRunner {
  public:
   ThreadRunner(unsigned workers, const std::vector<Job>& jobs,
@@ -320,9 +320,8 @@ class ThreadRunner final : public AttemptRunner {
 
 /// Each attempt runs in a forked child under rlimit jails (src/sim/
 /// process_executor.h). The parent acquires the trace — the child
-/// inherits the mapping, so I/O damage surfaces here without forking —
-/// and holds it until the child is reaped, so a child that SIGSEGVs or
-/// is SIGKILLed cannot pin its mapping. Deadlines escalate by signal:
+/// inherits the copy, so I/O damage surfaces here without forking —
+/// and holds it until the child is reaped. Deadlines escalate by signal:
 /// SIGTERM (the child's handler flips its cancel token and it unwinds
 /// with its outcome intact), then SIGKILL once `kill_grace` expires.
 /// Starts no thread: fork() stays safe only in a single-threaded parent.

@@ -32,29 +32,18 @@ std::shared_ptr<const trace::TraceSource> TraceCache::get(const Job& job) {
   // Build outside the lock: different keys materialize concurrently.
   std::shared_ptr<const trace::TraceSource> built;
   try {
-    const std::string& path = job.config.trace_path;
-    if (path.empty()) {
+    if (job.config.trace_path.empty()) {
       built = std::make_shared<const trace::TraceSource>(
           trace::TraceSource::generate(trace::spec2000_profile(job.program),
                                        job.config.seed,
                                        job.config.instructions));
-    } else if (job.config.trace_measure_begin == 0 &&
-               job.config.trace_measure_end == 0) {
-      built = std::make_shared<const trace::TraceSource>(
-          trace::TraceSource::open_samt(path,
-                                        job.config.verify_trace_checksum));
     } else {
-      // Shard job: open only [measure_begin - warm-up, measure_end) —
-      // the point of sharding is that no single consumer decodes the
-      // whole long trace.
+      // Shard jobs open only their range — the point of sharding is that
+      // no single consumer decodes the whole long trace.
+      const TraceRange range = trace_open_range(job.config);
       built = std::make_shared<const trace::TraceSource>(
-          trace::TraceSource::open_samt_range(
-              path,
-              job.config.trace_measure_begin - effective_trace_warmup(
-                                                   job.config),
-              job.config.trace_measure_end != 0 ? job.config.trace_measure_end
-                                                : ~std::uint64_t{0},
-              job.config.verify_trace_checksum));
+          trace::TraceSource::open_samt(job.config.trace_path, range.begin,
+                                        range.end));
     }
   } catch (...) {
     std::scoped_lock lock(mu_);
@@ -73,7 +62,7 @@ std::shared_ptr<const trace::TraceSource> TraceCache::get(const Job& job) {
 
 void TraceCache::finished(const Job& job) {
   const Key key = key_of(job);
-  std::shared_ptr<const trace::TraceSource> done;
+  std::shared_ptr<const trace::TraceSource> done;  // freed after the unlock
   {
     std::scoped_lock lock(mu_);
     auto p = pending_.find(key);
@@ -81,15 +70,12 @@ void TraceCache::finished(const Job& job) {
     pending_.erase(p);
     if (auto it = slots_.find(key); it != slots_.end()) {
       done = std::move(it->second.src);
-      // Drop the slot: releasing the cache's reference is what lets an
-      // in-RAM generated trace free at all (advise_dontneed is a no-op
-      // for it — there is no file to fault back in from). No consumer
-      // of this key can arrive later: every job was registered up
-      // front, and this was the last one.
+      // Drop the slot: releasing the cache's reference is what lets the
+      // trace free at all. No consumer of this key can arrive later:
+      // every job was registered up front, and this was the last one.
       slots_.erase(it);
     }
   }
-  if (done != nullptr) done->advise_dontneed();
 }
 
 bool TraceCache::ready(const Job& job) const {
@@ -120,11 +106,9 @@ TraceCache::Key TraceCache::key_of(const Job& job) {
     return Key{job.program, job.config.instructions, job.config.seed};
   }
   // Shard jobs over the same file open different record ranges, so the
-  // range is part of the key; plain whole-file jobs keep the historical
-  // (path, 0, 0) key.
-  const std::uint64_t begin =
-      job.config.trace_measure_begin - effective_trace_warmup(job.config);
-  return Key{"file:" + path, begin, job.config.trace_measure_end};
+  // range is part of the key.
+  const TraceRange range = trace_open_range(job.config);
+  return Key{"file:" + path, range.begin, range.end};
 }
 
 }  // namespace samie::sim

@@ -2,31 +2,31 @@
 // and per-consumer release discipline.
 //
 // Generated workloads are keyed by (program, length, seed); recorded
-// SAMT files by (path, opened record range) — whole-file jobs keep the
-// historical (path, 0, 0) key, shard jobs over the same file get
-// distinct keys per range so each materializes only its own blocks.
-// The first worker to request a key builds it
-// *outside* the cache lock (distinct keys materialize concurrently)
-// while later requesters wait on the latch instead of generating or
-// mmapping the same multi-MB workload a second time. A failed build
-// releases the latch so a retry attempt rebuilds rather than being
-// poisoned forever.
+// SAMT files by (path, opened record range) — trace_open_range(), so
+// shard jobs over the same file get distinct keys per range and each
+// materializes only its own blocks. The first worker to request a key
+// builds it *outside* the cache lock (distinct keys materialize
+// concurrently) while later requesters wait on the latch instead of
+// generating or reading the same multi-MB workload a second time. Every
+// worker thread shares the one owned copy, and forked children inherit
+// it. A failed build releases the latch so a retry attempt rebuilds
+// rather than being poisoned forever.
 //
 // Residency: the constructor registers every job that will actually run
 // (resume-skipped jobs excluded), and finished() counts them back down.
 // When a key's last consumer finishes, the cache drops its own
-// shared_ptr — so a generated trace's buffer frees, and a mapped SAMT
-// file unmaps, the moment the last worker/child over it lets go of its
-// reference. Release alone bounds nothing when a trace's consumers are
-// spread across the job list (a config-major sweep runs every program
-// under one configuration before the next); the sweep's state machine
-// therefore admits jobs by trace affinity through key_of() and ready():
-// after due retries, a job whose trace is already built goes first, then
-// one that opens a trace nobody holds, else the earliest job in job
-// order (which waits on the build latch). Together they keep a sweep's
-// resident sources at about one per worker, plus one while a build
-// overlaps, rather than every trace the sweep touches;
-// resident_high_water() is the regression probe for exactly that.
+// shared_ptr — so the trace's buffer frees the moment the last
+// worker/child over it lets go of its reference. Release alone bounds
+// nothing when a trace's consumers are spread across the job list (a
+// config-major sweep runs every program under one configuration before
+// the next); the sweep's state machine therefore admits jobs by trace
+// affinity through key_of() and ready(): after due retries, a job whose
+// trace is already built goes first, then one that opens a trace nobody
+// holds, else the earliest job in job order (which waits on the build
+// latch). Together they keep a sweep's resident sources at about one per
+// worker, plus one while a build overlaps, rather than every trace the
+// sweep touches; resident_high_water() is the regression probe for
+// exactly that.
 #pragma once
 
 #include <condition_variable>
@@ -57,10 +57,9 @@ class TraceCache {
   std::shared_ptr<const trace::TraceSource> get(const Job& job);
 
   /// A job is done with its trace (success, failure or skip) — called
-  /// exactly once per job. When it was the last consumer, mapped traces
-  /// drop their resident pages (MADV_DONTNEED) and the cache drops its
-  /// reference, so the source is destroyed as soon as the caller's own
-  /// shared_ptr goes.
+  /// exactly once per job. When it was the last consumer, the cache
+  /// drops its reference, so the source is destroyed as soon as the
+  /// caller's own shared_ptr goes.
   void finished(const Job& job);
 
   /// The job's trace is built and resident: a consumer admitted now

@@ -1,8 +1,6 @@
 #include "src/trace/trace_io.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -50,8 +48,7 @@ void canonical_record(const MicroOp& op, MicroOp* dst) noexcept {
   throw TraceFormatError(path + ": " + what);
 }
 
-void validate_header(const std::string& path, const SamtHeader& h,
-                     std::uint64_t file_bytes) {
+void validate_header(const std::string& path, const SamtHeader& h) {
   if (std::memcmp(h.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
     fail(path, "not a SAMT trace (bad magic)");
   }
@@ -64,26 +61,6 @@ void validate_header(const std::string& path, const SamtHeader& h,
                    " does not match this build's MicroOp (" +
                    std::to_string(sizeof(MicroOp)) + " bytes)");
   }
-  // v2 payloads are block-encoded; count-vs-size consistency is enforced
-  // by the guarded index, not by header arithmetic.
-  if (h.version != kSamtVersion) return;
-  // Divide, never multiply: `h.count * sizeof(MicroOp)` can wrap
-  // (count += 2^61 makes the product overflow to the exact valid size,
-  // and the checksum length wraps identically — the corrupt-trace fuzz
-  // suite found the file being *accepted*). Comparing against the
-  // record count the payload actually holds is overflow-free.
-  const std::uint64_t payload = file_bytes - sizeof(SamtHeader);
-  if (payload % sizeof(MicroOp) != 0 || h.count != payload / sizeof(MicroOp)) {
-    fail(path, "truncated or oversized: header promises " +
-                   std::to_string(h.count) + " records, file payload is " +
-                   std::to_string(payload) + " bytes (" +
-                   std::to_string(payload / sizeof(MicroOp)) + " records)");
-  }
-}
-
-[[noreturn]] void fail_v1_only(const std::string& path, const char* reader) {
-  fail(path, std::string("SAMT v2 traces are block-encoded; ") + reader +
-                 " reads only v1 — open via TraceSource or TraceV2Reader");
 }
 
 [[nodiscard]] std::string header_name(const SamtHeader& h) {
@@ -107,6 +84,12 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+[[nodiscard]] bool read_at(std::FILE* f, std::uint64_t offset, void* dst,
+                           std::size_t n) {
+  return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
+         (n == 0 || std::fread(dst, 1, n, f) == n);
+}
 
 // Armed I/O faults, keyed by path. Consumed (erased) by the first reader
 // open / writer finish that looks its path up.
@@ -271,136 +254,96 @@ void write_samt(const std::string& path, TraceView ops,
   w.finish();
 }
 
-// ----------------------------------------------------------- TraceReader --
+// ----------------------------------------------------------- SAMT reader --
 
 SamtHeader read_samt_header(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) {
     fail(path, std::string("cannot open: ") + std::strerror(errno));
   }
-  const std::uint64_t bytes = file_size_of(path, f);
   SamtHeader h{};
-  if (bytes < sizeof h || std::fread(&h, sizeof h, 1, f) != 1) {
-    std::fclose(f);
+  if (file_size_of(path, f.get()) < sizeof h ||
+      std::fread(&h, sizeof h, 1, f.get()) != 1) {
     fail(path, "too short for a SAMT header");
   }
-  std::fclose(f);
-  validate_header(path, h, bytes);
+  validate_header(path, h);
   return h;
 }
 
-TraceReader::TraceReader(const std::string& path)
-    : path_(path), header_(read_samt_header(path)) {
-  if (header_.version != kSamtVersion) fail_v1_only(path, "TraceReader");
-}
+namespace {
 
-std::string TraceReader::name() const { return header_name(header_); }
-
-Trace TraceReader::read_all() const {
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
+/// The v1 branch of read_samt(): copies the whole record array, checks
+/// the file size against the header count and the checksum over every
+/// record, then keeps records [begin, end). `fault` is the path's armed
+/// IoFault, already consumed by the caller.
+[[nodiscard]] Trace read_v1(const std::string& path, const SamtHeader& h,
+                            std::uint64_t begin, std::uint64_t end,
+                            const IoFault& fault) {
+  FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) {
-    fail(path_, std::string("cannot open: ") + std::strerror(errno));
+    fail(path, std::string("cannot open: ") + std::strerror(errno));
+  }
+  std::uint64_t bytes = file_size_of(path, f.get());
+  const std::uint64_t cut = short_read_cut(fault);
+  bytes = bytes > cut ? bytes - cut : 0;
+  // Divide, never multiply: `h.count * sizeof(MicroOp)` can wrap
+  // (count += 2^61 makes the product overflow to the exact valid size,
+  // and the checksum length wraps identically — the corrupt-trace fuzz
+  // suite found the file being *accepted*). Comparing against the
+  // record count the payload actually holds is overflow-free.
+  const std::uint64_t payload =
+      bytes > sizeof(SamtHeader) ? bytes - sizeof(SamtHeader) : 0;
+  if (bytes < sizeof(SamtHeader) || payload % sizeof(MicroOp) != 0 ||
+      h.count != payload / sizeof(MicroOp)) {
+    throw TraceCorruptError(
+        path + ": truncated or oversized: header promises " +
+            std::to_string(h.count) + " records, file payload is " +
+            std::to_string(payload) + " bytes (torn tail)",
+        TraceDamage::kTornTail, TraceCorruptError::kNoBlock, bytes);
   }
   Trace t;
-  t.name = name();
-  t.seed = header_.seed;
-  bool ok = std::fseek(f, sizeof(SamtHeader), SEEK_SET) == 0;
-  if (ok) {
-    t.ops.resize(static_cast<std::size_t>(header_.count));
-    ok = header_.count == 0 ||
-         std::fread(t.ops.data(), sizeof(MicroOp),
-                    static_cast<std::size_t>(header_.count),
-                    f) == header_.count;
+  t.name = header_name(h);
+  t.seed = h.seed;
+  t.ops.resize(static_cast<std::size_t>(h.count));
+  const std::size_t record_bytes = t.ops.size() * sizeof(MicroOp);
+  if (!read_at(f.get(), sizeof(SamtHeader), t.ops.data(), record_bytes)) {
+    throw TraceCorruptError(path + ": unreadable record array (torn tail)",
+                            TraceDamage::kTornTail,
+                            TraceCorruptError::kNoBlock, bytes);
   }
-  std::fclose(f);
-  if (!ok) fail(path_, "truncated record array");
-  const std::uint64_t sum =
-      fnv1a_64(t.ops.data(), t.ops.size() * sizeof(MicroOp));
-  if (sum != header_.checksum) fail(path_, "record checksum mismatch");
+  // The record array is v1's one block.
+  if (fault.kind == IoFault::Kind::kBitFlipBlock && fault.param == 0 &&
+      record_bytes != 0) {
+    *reinterpret_cast<unsigned char*>(t.ops.data()) ^= 0x01;
+  }
+  if (fnv1a_64(t.ops.data(), record_bytes) != h.checksum) {
+    throw TraceCorruptError(path + ": record checksum mismatch",
+                            TraceDamage::kInteriorCorrupt, 0,
+                            sizeof(SamtHeader));
+  }
+  if (end > h.count) end = h.count;
+  if (begin > end) begin = end;
+  t.ops.erase(t.ops.begin() + static_cast<std::ptrdiff_t>(end), t.ops.end());
+  t.ops.erase(t.ops.begin(),
+              t.ops.begin() + static_cast<std::ptrdiff_t>(begin));
   return t;
 }
 
-// ----------------------------------------------------------- MappedTrace --
+}  // namespace
 
-MappedTrace::MappedTrace(const std::string& path, bool verify_checksum) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    fail(path, std::string("cannot open: ") + std::strerror(errno));
+Trace read_samt(const std::string& path, std::uint64_t begin,
+                std::uint64_t end) {
+  const SamtHeader h = read_samt_header(path);
+  if (h.version == kSamtVersion2) {
+    const TraceV2Reader reader(path);
+    Trace t;
+    t.name = reader.name();
+    t.seed = reader.header().seed;
+    t.ops = reader.read_range(begin, end);
+    return t;
   }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    fail(path, "stat failed");
-  }
-  const auto bytes = static_cast<std::uint64_t>(st.st_size);
-  if (bytes < sizeof(SamtHeader)) {
-    ::close(fd);
-    fail(path, "too short for a SAMT header");
-  }
-  void* map = ::mmap(nullptr, static_cast<std::size_t>(bytes), PROT_READ,
-                     MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    fail(path, std::string("mmap failed: ") + std::strerror(errno));
-  }
-  map_ = map;
-  map_len_ = static_cast<std::size_t>(bytes);
-  std::memcpy(&header_, map_, sizeof header_);
-  try {
-    validate_header(path, header_, bytes);
-    if (header_.version != kSamtVersion) fail_v1_only(path, "MappedTrace");
-  } catch (...) {
-    unmap();
-    throw;
-  }
-  records_ = reinterpret_cast<const MicroOp*>(
-      static_cast<const char*>(map_) + sizeof(SamtHeader));
-  // Sequential replay: tell the kernel to read ahead aggressively.
-  ::madvise(map_, map_len_, MADV_SEQUENTIAL);
-  if (verify_checksum) {
-    const std::uint64_t sum =
-        fnv1a_64(records_, static_cast<std::size_t>(header_.count) *
-                               sizeof(MicroOp));
-    if (sum != header_.checksum) {
-      unmap();
-      fail(path, "record checksum mismatch");
-    }
-  }
+  return read_v1(path, h, begin, end, take_io_fault(path));
 }
-
-MappedTrace::MappedTrace(MappedTrace&& other) noexcept
-    : header_(other.header_),
-      map_(std::exchange(other.map_, nullptr)),
-      map_len_(std::exchange(other.map_len_, 0)),
-      records_(std::exchange(other.records_, nullptr)) {}
-
-MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    header_ = other.header_;
-    map_ = std::exchange(other.map_, nullptr);
-    map_len_ = std::exchange(other.map_len_, 0);
-    records_ = std::exchange(other.records_, nullptr);
-  }
-  return *this;
-}
-
-MappedTrace::~MappedTrace() { unmap(); }
-
-void MappedTrace::advise_dontneed() const noexcept {
-  if (map_ != nullptr) ::madvise(map_, map_len_, MADV_DONTNEED);
-}
-
-void MappedTrace::unmap() noexcept {
-  if (map_ != nullptr) {
-    ::munmap(map_, map_len_);
-    map_ = nullptr;
-    map_len_ = 0;
-    records_ = nullptr;
-  }
-}
-
-std::string MappedTrace::name() const { return header_name(header_); }
 
 // ----------------------------------------------------------- SAMT v2 -----
 
@@ -610,12 +553,6 @@ struct V2Layout {
   std::string note;
 };
 
-[[nodiscard]] bool read_at(std::FILE* f, std::uint64_t offset, void* dst,
-                           std::size_t n) {
-  return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
-         (n == 0 || std::fread(dst, 1, n, f) == n);
-}
-
 /// Opens a v2 file and validates header, footer and index. Throws
 /// TraceFormatError for files that are not SAMT v2 at all; classifies
 /// damage (torn tail / bad index) into the returned struct otherwise.
@@ -635,17 +572,10 @@ struct V2Layout {
       !read_at(f.get(), 0, &L.header, sizeof L.header)) {
     fail(path, "too short for a SAMT header");
   }
-  if (std::memcmp(L.header.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
-    fail(path, "not a SAMT trace (bad magic)");
-  }
+  validate_header(path, L.header);
   if (L.header.version != kSamtVersion2) {
     fail(path, "not a SAMT v2 trace (version " +
                    std::to_string(L.header.version) + ")");
-  }
-  if (L.header.record_bytes != sizeof(MicroOp)) {
-    fail(path, "record size " + std::to_string(L.header.record_bytes) +
-                   " does not match this build's MicroOp (" +
-                   std::to_string(sizeof(MicroOp)) + " bytes)");
   }
 
   auto damaged = [&](TraceDamage d, std::uint64_t off, std::string note) {
@@ -1031,80 +961,33 @@ Trace TraceV2Reader::read_all() const {
 
 TraceHealth trace_health(const std::string& path) {
   const IoFault fault = take_io_fault(path);
-  const std::uint64_t cut = short_read_cut(fault);
 
   // Sniff the version first; v1 and v2 walk differently.
-  SamtHeader sniff{};
-  {
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (f == nullptr) {
-      fail(path, std::string("cannot open: ") + std::strerror(errno));
-    }
-    const std::uint64_t bytes = file_size_of(path, f.get());
-    if (bytes < sizeof sniff || !read_at(f.get(), 0, &sniff, sizeof sniff)) {
-      fail(path, "too short for a SAMT header");
-    }
-    if (std::memcmp(sniff.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
-      fail(path, "not a SAMT trace (bad magic)");
-    }
-    if (sniff.version != kSamtVersion && sniff.version != kSamtVersion2) {
-      fail(path, "unsupported SAMT version " + std::to_string(sniff.version) +
-                     " (this build reads versions 1 and 2)");
-    }
-    if (sniff.record_bytes != sizeof(MicroOp)) {
-      fail(path, "record size " + std::to_string(sniff.record_bytes) +
-                     " does not match this build's MicroOp (" +
-                     std::to_string(sizeof(MicroOp)) + " bytes)");
-    }
-  }
-
+  const SamtHeader sniff = read_samt_header(path);
   TraceHealth h;
   h.version = sniff.version;
   h.record_count = sniff.count;
 
   if (sniff.version == kSamtVersion) {
-    // v1 is one whole-file checksum: report it as a single pseudo-block.
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (f == nullptr) {
-      fail(path, std::string("cannot open: ") + std::strerror(errno));
-    }
-    std::uint64_t bytes = file_size_of(path, f.get());
-    bytes = bytes > cut ? bytes - cut : 0;
+    // v1 is one whole-file checksum: report it as a single pseudo-block,
+    // classified by the same read every v1 open goes through.
     BlockHealth blk{sizeof(SamtHeader), 0,
                     static_cast<std::uint32_t>(
                         std::min<std::uint64_t>(sniff.count, ~std::uint32_t{0})),
-                    false};
-    const std::uint64_t payload =
-        bytes >= sizeof(SamtHeader) ? bytes - sizeof(SamtHeader) : 0;
-    if (payload % sizeof(MicroOp) != 0 ||
-        sniff.count != payload / sizeof(MicroOp)) {
-      h.damage = TraceDamage::kTornTail;
-      h.first_bad_offset = bytes;
-      h.bad_blocks = 1;
-      h.blocks.push_back(blk);
-      return h;
-    }
-    std::vector<MicroOp> recs(static_cast<std::size_t>(sniff.count));
-    if (!read_at(f.get(), sizeof(SamtHeader), recs.data(),
-                 recs.size() * sizeof(MicroOp))) {
-      h.damage = TraceDamage::kTornTail;
-      h.first_bad_offset = bytes;
-      h.bad_blocks = 1;
-      h.blocks.push_back(blk);
-      return h;
-    }
-    blk.ok =
-        fnv1a_64(recs.data(), recs.size() * sizeof(MicroOp)) == sniff.checksum;
-    if (!blk.ok) {
-      h.damage = TraceDamage::kInteriorCorrupt;
-      h.first_bad_offset = sizeof(SamtHeader);
+                    true};
+    try {
+      (void)read_v1(path, sniff, 0, 0, fault);
+    } catch (const TraceCorruptError& e) {
+      blk.ok = false;
+      h.damage = e.damage;
+      h.first_bad_offset = e.offset;
       h.bad_blocks = 1;
     }
     h.blocks.push_back(blk);
     return h;
   }
 
-  V2Layout L = load_v2_layout(path, cut);
+  V2Layout L = load_v2_layout(path, short_read_cut(fault));
   h.record_count = L.header.count;
   if (L.damage != TraceDamage::kNone) {
     h.damage = L.damage;

@@ -9,12 +9,10 @@
 //   [count x MicroOp: 40 bytes each]  the in-memory record, verbatim,
 //                           with padding bytes zeroed by the writer
 //
-// Because the on-disk record *is* the in-memory `MicroOp` (layout pinned
-// by static_asserts below), a reader can either copy the array out
-// (TraceReader) or map the file and replay straight from the page cache
-// (MappedTrace) — zero copies, and one physical mapping shared by every
-// worker replaying the same file. docs/TRACE_FORMAT.md specifies the
-// format and its versioning rules.
+// The on-disk v1 record *is* the in-memory `MicroOp` (layout pinned by
+// static_asserts below). Both versions are read through one verifying
+// entry point, read_samt(), into an owned Trace. docs/TRACE_FORMAT.md
+// specifies the format and its versioning rules.
 #pragma once
 
 #include <bit>
@@ -148,65 +146,20 @@ void write_samt(const std::string& path, TraceView ops,
                 const std::string& name, std::uint64_t seed);
 
 /// Reads and validates only the 64-byte header (magic, version, record
-/// size, file length vs count). Cheap: does not touch the records.
+/// size). Cheap: does not touch the records, so a v1 file whose payload
+/// is damaged still enumerates — read_samt() classifies the damage.
 [[nodiscard]] SamtHeader read_samt_header(const std::string& path);
 
-/// Copying reader: validates the header, reads the record array into an
-/// owned Trace and verifies the checksum.
-class TraceReader {
- public:
-  explicit TraceReader(const std::string& path);
-
-  [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
-  [[nodiscard]] std::string name() const;
-  /// Reads all records; throws TraceFormatError on truncation or
-  /// checksum mismatch.
-  [[nodiscard]] Trace read_all() const;
-
- private:
-  std::string path_;
-  SamtHeader header_{};
-};
-
-/// mmap-backed zero-copy trace. The record array is replayed directly
-/// from the page cache; N workers opening the same file share one
-/// physical mapping instead of N heap copies.
-class MappedTrace {
- public:
-  /// Maps `path` read-only and validates header + checksum (the checksum
-  /// pass touches every page once; pass verify_checksum=false to defer
-  /// faulting to replay).
-  explicit MappedTrace(const std::string& path, bool verify_checksum = true);
-  MappedTrace(MappedTrace&& other) noexcept;
-  MappedTrace& operator=(MappedTrace&& other) noexcept;
-  MappedTrace(const MappedTrace&) = delete;
-  MappedTrace& operator=(const MappedTrace&) = delete;
-  ~MappedTrace();
-
-  [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
-  [[nodiscard]] std::string name() const;
-  [[nodiscard]] std::size_t size() const noexcept {
-    return static_cast<std::size_t>(header_.count);
-  }
-  [[nodiscard]] TraceView view() const noexcept {
-    return TraceView{records_, static_cast<std::size_t>(header_.count)};
-  }
-
-  /// Tells the kernel this mapping's pages are no longer needed
-  /// (MADV_DONTNEED): resident pages are dropped immediately instead of
-  /// lingering until munmap, so long multi-trace sweeps shed page-cache
-  /// residency as soon as each trace finishes. Re-reading afterwards is
-  /// still valid (pages fault back in from the page cache / file).
-  void advise_dontneed() const noexcept;
-
- private:
-  void unmap() noexcept;
-
-  SamtHeader header_{};
-  void* map_ = nullptr;        ///< whole-file mapping (header + records)
-  std::size_t map_len_ = 0;
-  const MicroOp* records_ = nullptr;
-};
+/// The one SAMT reader: opens `path` (v1 or v2, by its header), reads
+/// records [begin, end) clamped to the trace into an owned Trace, and
+/// verifies everything it reads — v1's size and whole-array checksum, or
+/// every touched v2 block's guard. Throws TraceFormatError for files
+/// that are not SAMT traces and TraceCorruptError for damaged ones
+/// (v1: a size mismatch is a torn tail at the file size; a checksum
+/// mismatch is interior corruption of block 0 at offset 64). Honours an
+/// armed IoFault for the path.
+[[nodiscard]] Trace read_samt(const std::string& path, std::uint64_t begin = 0,
+                              std::uint64_t end = ~std::uint64_t{0});
 
 // ------------------------------------------------------------- SAMT v2 --
 //
@@ -278,8 +231,9 @@ struct IoFault {
     /// Reader sees the file `param` bytes shorter than it is (0 = 64):
     /// a torn tail without touching the media.
     kShortRead,
-    /// Reader flips one bit in block `param`'s payload after reading it:
-    /// interior corruption without touching the media.
+    /// Reader flips one bit in block `param`'s payload after reading it
+    /// (a v1 file's record array is its block 0): interior corruption
+    /// without touching the media.
     kBitFlipBlock,
     /// Writer finish() fails as if the disk filled before the trace was
     /// sealed. The final path is untouched (v1 removes its tmp; v2 keeps

@@ -7,69 +7,18 @@ namespace samie::trace {
 TraceSource TraceSource::generate(const WorkloadProfile& profile,
                                   std::uint64_t seed, std::uint64_t n) {
   WorkloadGenerator gen(profile, seed);
-  Trace t = gen.generate(n);
-  return from_trace(std::move(t));
+  return from_trace(gen.generate(n));
 }
 
-TraceSource TraceSource::from_trace(Trace t) {
-  std::string name = t.name;
-  const std::uint64_t seed = t.seed;
-  return TraceSource(std::move(t), std::move(name), seed);
-}
+TraceSource TraceSource::from_trace(Trace t) { return TraceSource(std::move(t)); }
 
 TraceSource TraceSource::open_samt(const std::string& path,
-                                   bool verify_checksum) {
-  if (read_samt_header(path).version == kSamtVersion2) {
-    return from_trace(TraceV2Reader(path).read_all());
-  }
-  MappedTrace mapped(path, verify_checksum);
-  std::string name = mapped.name();
-  const std::uint64_t seed = mapped.header().seed;
-  return TraceSource(std::move(mapped), std::move(name), seed);
-}
-
-TraceSource TraceSource::open_samt_range(const std::string& path,
-                                         std::uint64_t begin,
-                                         std::uint64_t end,
-                                         bool verify_checksum) {
-  if (read_samt_header(path).version == kSamtVersion2) {
-    const TraceV2Reader reader(path);
-    Trace t;
-    t.name = reader.name();
-    t.seed = reader.header().seed;
-    t.ops = reader.read_range(begin, end);
-    return from_trace(std::move(t));
-  }
-  MappedTrace mapped(path, verify_checksum);
-  std::string name = mapped.name();
-  const std::uint64_t seed = mapped.header().seed;
-  TraceSource src(std::move(mapped), std::move(name), seed);
-  if (end > src.size()) end = src.size();
-  if (begin > end) begin = end;
-  src.view_offset_ = static_cast<std::size_t>(begin);
-  src.view_len_ = static_cast<std::size_t>(end - begin);
-  return src;
-}
-
-TraceSource TraceSource::read_samt(const std::string& path) {
-  if (read_samt_header(path).version == kSamtVersion2) {
-    return from_trace(TraceV2Reader(path).read_all());
-  }
-  return from_trace(TraceReader(path).read_all());
+                                   std::uint64_t begin, std::uint64_t end) {
+  return from_trace(read_samt(path, begin, end));
 }
 
 TraceSource TraceSource::import_text(const std::string& path) {
   return from_trace(import_text_trace(path));
-}
-
-TraceView TraceSource::view() const noexcept {
-  TraceView base;
-  if (const auto* owned = std::get_if<Trace>(&storage_)) {
-    base = *owned;
-  } else {
-    base = std::get<MappedTrace>(storage_).view();
-  }
-  return base.subview(view_offset_, view_len_);
 }
 
 }  // namespace samie::trace

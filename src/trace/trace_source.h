@@ -1,16 +1,15 @@
 // TraceSource: one owner type for trace storage of any provenance.
 //
 // The simulator, tools and benches all consume TraceView; a TraceSource
-// pairs such a view with whatever keeps it alive — an owned in-RAM Trace
-// (generated or imported) or an mmap-backed MappedTrace (zero-copy
-// replay). Sweep infrastructure holds `shared_ptr<const TraceSource>` so
-// N workers replaying one program share a single mapping instead of N
-// ~70 MB heap copies.
+// pairs such a view with the owned in-RAM Trace that keeps it alive,
+// whether generated, imported or read from a SAMT file. Sweep
+// infrastructure holds `shared_ptr<const TraceSource>` so N workers
+// replaying one program share a single copy (src/sim/trace_cache.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <variant>
+#include <utility>
 
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_view.h"
@@ -26,59 +25,29 @@ class TraceSource {
                                             std::uint64_t n);
   /// Takes ownership of an existing trace.
   [[nodiscard]] static TraceSource from_trace(Trace t);
-  /// Opens a SAMT file, autodetecting the version by its header. v1
-  /// mmaps (zero-copy, shared page cache across processes and workers);
-  /// v2 decodes its guarded blocks into an owned Trace. Throws
-  /// TraceFormatError on malformed files (TraceCorruptError for damaged
-  /// v2 files). For v1 the checksum pass touches every page once;
-  /// `verify_checksum = false` skips it for replay hot paths that
-  /// re-open an already-verified trace (v2 blocks are always verified —
-  /// their guards are checked as a side effect of decoding).
-  [[nodiscard]] static TraceSource open_samt(const std::string& path,
-                                             bool verify_checksum = true);
-  /// Opens records [begin, end) of a SAMT file (clamped to the trace):
-  /// the shard-replay entry point. v1 windows the mapping; v2 decodes
-  /// only the covering blocks, so damage outside the range is never
-  /// touched.
-  [[nodiscard]] static TraceSource open_samt_range(const std::string& path,
-                                                   std::uint64_t begin,
-                                                   std::uint64_t end,
-                                                   bool verify_checksum = true);
-  /// Reads a SAMT file into an owned in-RAM copy (TraceReader path).
-  [[nodiscard]] static TraceSource read_samt(const std::string& path);
+  /// Reads records [begin, end) of a SAMT file (v1 or v2, clamped to the
+  /// trace) through read_samt(), which verifies everything it reads.
+  /// Throws TraceFormatError on malformed files and TraceCorruptError on
+  /// damaged ones. A range open is the shard-replay entry point: for v2
+  /// only the covering blocks are decoded, so damage outside the range
+  /// is never touched.
+  [[nodiscard]] static TraceSource open_samt(
+      const std::string& path, std::uint64_t begin = 0,
+      std::uint64_t end = ~std::uint64_t{0});
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).
   [[nodiscard]] static TraceSource import_text(const std::string& path);
 
-  [[nodiscard]] TraceView view() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// True when backed by a file mapping rather than heap memory.
-  [[nodiscard]] bool is_mapped() const noexcept {
-    return std::holds_alternative<MappedTrace>(storage_);
+  [[nodiscard]] TraceView view() const noexcept { return trace_; }
+  [[nodiscard]] std::size_t size() const noexcept { return trace_.size(); }
+  [[nodiscard]] const std::string& name() const noexcept {
+    return trace_.name;
   }
-  /// For mapped sources: drop resident pages now (MADV_DONTNEED; see
-  /// MappedTrace::advise_dontneed). No-op for in-RAM traces. Call when
-  /// the last consumer of this source is done but the object itself
-  /// lives on (e.g. in a sweep's trace cache).
-  void advise_dontneed() const noexcept {
-    if (const auto* m = std::get_if<MappedTrace>(&storage_)) {
-      m->advise_dontneed();
-    }
-  }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return trace_.seed; }
 
  private:
-  TraceSource(std::variant<Trace, MappedTrace> storage, std::string name,
-              std::uint64_t seed)
-      : storage_(std::move(storage)), name_(std::move(name)), seed_(seed) {}
+  explicit TraceSource(Trace t) : trace_(std::move(t)) {}
 
-  std::variant<Trace, MappedTrace> storage_;
-  std::string name_;
-  std::uint64_t seed_ = 0;
-  /// Range-opened sources expose a window of the backing storage; the
-  /// defaults expose all of it.
-  std::size_t view_offset_ = 0;
-  std::size_t view_len_ = ~std::size_t{0};
+  Trace trace_;
 };
 
 }  // namespace samie::trace

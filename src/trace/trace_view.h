@@ -1,7 +1,7 @@
 // TraceView: a non-owning (pointer, length) window over MicroOps.
 //
-// Every trace producer — the in-RAM WorkloadGenerator, the mmap-backed
-// MappedTrace, the plain-text importer — converts to a TraceView, and
+// Every trace producer — the in-RAM WorkloadGenerator, the SAMT reader,
+// the plain-text importer — converts to a TraceView, and
 // every consumer (Core, run_simulation, the analysis functions, the perf
 // harness) reads through one. The view is two words, passed by value, and
 // the indexing it offers is identical to what Core compiled against when

@@ -808,6 +808,62 @@ TEST_P(TraceDamageSweepTest, RejectsImportOnlyAndTracelessIoFaults) {
   }
 }
 
+TEST_P(TraceDamageSweepTest, V1DamageIsQuarantinedLikeV2) {
+  // Four v1 traces: gcc stays intact, ammp gets a flipped record byte,
+  // mcf loses its last 13 bytes, and art is cut by an injected short
+  // read. Each damaged job must end trace-damaged on its first attempt,
+  // with the damage class trace_health reports for the same file.
+  std::vector<sim::Job> jobs;
+  for (const char* p : {"gcc", "ammp", "mcf", "art"}) {
+    trace::WorkloadGenerator gen(trace::spec2000_profile(p), 5);
+    const trace::Trace t = gen.generate(3000);
+    const std::string f = path(std::string(p) + ".samt");
+    trace::write_samt(f, t, p, 5);
+    sim::SimConfig cfg = sim::paper_config(sim::LsqChoice::kSamie);
+    cfg.instructions = 3000;
+    cfg.trace_path = f;
+    jobs.push_back(sim::Job{p, cfg, "samie"});
+  }
+  const auto clean = sim::run_jobs(jobs, 1);
+  {
+    std::fstream f(path("ammp.samt"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(sizeof(trace::SamtHeader)) + 200);
+    f.put('\x5a');
+  }
+  std::filesystem::resize_file(path("mcf.samt"),
+                               std::filesystem::file_size(path("mcf.samt")) - 13);
+  std::vector<trace::TraceDamage> want = {
+      trace::TraceDamage::kNone, trace::trace_health(path("ammp.samt")).damage,
+      trace::trace_health(path("mcf.samt")).damage};
+  trace::set_io_fault(path("art.samt"),
+                      {trace::IoFault::Kind::kShortRead, 100});
+  want.push_back(trace::trace_health(path("art.samt")).damage);
+  EXPECT_EQ(want[1], trace::TraceDamage::kInteriorCorrupt);
+  EXPECT_EQ(want[2], trace::TraceDamage::kTornTail);
+  EXPECT_EQ(want[3], trace::TraceDamage::kTornTail);
+
+  sim::SweepFaultPlan plan;
+  plan.faults = {{3, 1, sim::SweepFault::Kind::kShortRead, 0ms, 100}};
+  sim::SweepOptions opt = options(2);
+  opt.retry.max_attempts = 3;  // damage must NOT consume retries
+  opt.faults = &plan;
+  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+
+  EXPECT_EQ(rep.completed, 1u);
+  EXPECT_EQ(rep.trace_damaged, 3u);
+  EXPECT_EQ(sim::sweep_exit_code(rep), 3);
+  expect_results_identical(rep.jobs[0].result, clean[0].result);
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].program);
+    const sim::JobOutcome& oc = rep.jobs[i].outcome;
+    EXPECT_EQ(oc.status, sim::JobStatus::kTraceDamaged);
+    EXPECT_EQ(oc.failure, sim::FailureClass::kDeterministic);
+    EXPECT_EQ(oc.attempts, 1u);
+    EXPECT_EQ(oc.damage, want[i]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothRunners, SweepRunnerTest,
                          ::testing::Values(Runner::kThreads, Runner::kChildren),
                          runner_name);

@@ -73,20 +73,14 @@ class TraceFuzzTest : public ::testing::Test {
     return p;
   }
 
-  /// Opens via both ingestion paths. Returns true when both succeeded;
-  /// throws whatever they throw. Successful opens are walked end to end
+  /// Opens through the one SAMT reader. Returns true when it succeeded;
+  /// throws whatever it throws. A successful open is walked end to end
   /// so a lying header would fault here, under the test harness.
-  static bool open_both(const std::string& p) {
+  static bool open_checked(const std::string& p) {
     std::uint64_t sink = 0;
-    {
-      const trace::TraceSource mapped = trace::TraceSource::open_samt(p);
-      for (std::size_t i = 0; i < mapped.size(); ++i) {
-        sink += mapped.view()[i].pc;
-      }
-    }
-    const trace::Trace copied = trace::TraceReader(p).read_all();
-    for (const auto& op : copied.ops) sink += op.value;
-    return sink != 0xdeadULL;  // defeat optimizing the walks away
+    const trace::TraceSource src = trace::TraceSource::open_samt(p);
+    for (const trace::MicroOp& op : src.view()) sink += op.pc + op.value;
+    return sink != 0xdeadULL;  // defeat optimizing the walk away
   }
 
   fs::path dir_;
@@ -94,7 +88,7 @@ class TraceFuzzTest : public ::testing::Test {
 };
 
 TEST_F(TraceFuzzTest, ValidBaselineOpensCleanly) {
-  EXPECT_NO_THROW((void)open_both(write_mutant(valid_)));
+  EXPECT_NO_THROW((void)open_checked(write_mutant(valid_)));
 }
 
 TEST_F(TraceFuzzTest, BitFlipsInGuardedRegionsAlwaysThrow) {
@@ -110,7 +104,7 @@ TEST_F(TraceFuzzTest, BitFlipsInGuardedRegionsAlwaysThrow) {
     }
     bytes[off] = static_cast<char>(bytes[off] ^ (1u << rng.below(8)));
     const std::string p = write_mutant(bytes);
-    EXPECT_THROW((void)open_both(p), trace::TraceFormatError)
+    EXPECT_THROW((void)open_checked(p), trace::TraceFormatError)
         << "trial " << trial << ": flip at offset " << off
         << " was accepted";
   }
@@ -129,9 +123,36 @@ TEST_F(TraceFuzzTest, TruncationsAndExtensionsAlwaysThrow) {
       }
     }
     const std::string p = write_mutant(bytes);
-    EXPECT_THROW((void)open_both(p), trace::TraceFormatError)
+    EXPECT_THROW((void)open_checked(p), trace::TraceFormatError)
         << "trial " << trial << ": size " << bytes.size() << " vs valid "
         << valid_.size();
+  }
+}
+
+TEST_F(TraceFuzzTest, DamageIsClassifiedLikeTraceHealth) {
+  // A record flip is interior corruption of block 0 (the record array);
+  // a cut that keeps the header is a torn tail at the new file end. The
+  // open and the damage walk agree, since both run the same v1 read.
+  Xoshiro256 rng(0xc1a55ULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<char> bytes = valid_;
+    const bool flip = trial % 2 == 0;
+    if (flip) {
+      const std::size_t off = 64 + rng.below(bytes.size() - 64);
+      bytes[off] = static_cast<char>(bytes[off] ^ (1u << rng.below(8)));
+    } else {
+      bytes.resize(64 + rng.below(bytes.size() - 64));
+    }
+    const trace::TraceDamage want = flip ? trace::TraceDamage::kInteriorCorrupt
+                                         : trace::TraceDamage::kTornTail;
+    const std::string p = write_mutant(bytes);
+    try {
+      (void)open_checked(p);
+      ADD_FAILURE() << "trial " << trial << ": damage was accepted";
+    } catch (const trace::TraceCorruptError& e) {
+      EXPECT_EQ(e.damage, want) << "trial " << trial;
+      EXPECT_EQ(trace::trace_health(p).damage, want) << "trial " << trial;
+    }
   }
 }
 
@@ -147,7 +168,7 @@ TEST_F(TraceFuzzTest, ProvenanceFlipsNeverCrash) {
     bytes[off] = static_cast<char>(bytes[off] ^ (1u << rng.below(8)));
     const std::string p = write_mutant(bytes);
     try {
-      (void)open_both(p);
+      (void)open_checked(p);
       ++accepted;
     } catch (const trace::TraceFormatError&) {
       // Also acceptable — just never a crash.
@@ -167,7 +188,7 @@ TEST_F(TraceFuzzTest, RandomGarbageNeverCrashes) {
     for (auto& b : bytes) b = static_cast<char>(rng());
     const std::string p = write_mutant(bytes);
     try {
-      (void)open_both(p);
+      (void)open_checked(p);
     } catch (const trace::TraceFormatError&) {
     }
   }

@@ -1,8 +1,9 @@
 // Tests for the SAMT binary trace format and the trace-source layer:
-// write→read round-trips are byte-stable, mmap and copying replays are
-// bit-identical to in-memory simulation for every LSQ kind, malformed
-// files are rejected with clear errors, and the text importer builds
-// traces that satisfy the generator's invariants.
+// write→read round-trips are byte-stable, replays through the one SAMT
+// reader are bit-identical to in-memory simulation for every LSQ kind,
+// range opens equal the in-memory subview, malformed files are rejected
+// with clear errors, and the text importer builds traces that satisfy the
+// generator's invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -83,14 +84,13 @@ TEST_F(TraceIoTest, WriteReadRoundTripPreservesEverything) {
   const trace::Trace t = small_trace();
   trace::write_samt(path("t.samt"), t, t.name, t.seed);
 
-  trace::TraceReader reader(path("t.samt"));
-  EXPECT_EQ(reader.name(), "gcc");
-  EXPECT_EQ(reader.header().seed, 7U);
-  EXPECT_EQ(reader.header().count, t.size());
-  EXPECT_EQ(reader.header().version, trace::kSamtVersion);
-  EXPECT_EQ(reader.header().record_bytes, sizeof(trace::MicroOp));
+  const trace::SamtHeader header = trace::read_samt_header(path("t.samt"));
+  EXPECT_EQ(header.seed, 7U);
+  EXPECT_EQ(header.count, t.size());
+  EXPECT_EQ(header.version, trace::kSamtVersion);
+  EXPECT_EQ(header.record_bytes, sizeof(trace::MicroOp));
 
-  const trace::Trace back = reader.read_all();
+  const trace::Trace back = trace::read_samt(path("t.samt"));
   EXPECT_EQ(back.name, "gcc");
   EXPECT_EQ(back.seed, 7U);
   expect_ops_equal(t, back);
@@ -103,7 +103,7 @@ TEST_F(TraceIoTest, RoundTripIsByteStable) {
   trace::write_samt(path("b.samt"), t, t.name, t.seed);
   EXPECT_EQ(slurp(path("a.samt")), slurp(path("b.samt")));
   // Read back and re-written: still byte-identical.
-  const trace::Trace back = trace::TraceReader(path("a.samt")).read_all();
+  const trace::Trace back = trace::read_samt(path("a.samt"));
   trace::write_samt(path("c.samt"), back, back.name, back.seed);
   EXPECT_EQ(slurp(path("a.samt")), slurp(path("c.samt")));
 }
@@ -117,22 +117,42 @@ TEST_F(TraceIoTest, StreamingWriterMatchesOneShot) {
   EXPECT_EQ(slurp(path("oneshot.samt")), slurp(path("streamed.samt")));
 }
 
-TEST_F(TraceIoTest, MappedTraceIsZeroCopyView) {
-  const trace::Trace t = small_trace();
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
-  trace::MappedTrace mapped(path("t.samt"));
-  EXPECT_EQ(mapped.name(), "gcc");
-  EXPECT_EQ(mapped.size(), t.size());
-  expect_ops_equal(t, mapped.view());
-}
-
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
   const trace::Trace empty{.name = "void", .seed = 3, .ops = {}};
   trace::write_samt(path("e.samt"), empty, empty.name, empty.seed);
-  EXPECT_EQ(trace::TraceReader(path("e.samt")).read_all().size(), 0U);
-  trace::MappedTrace mapped(path("e.samt"));
-  EXPECT_EQ(mapped.size(), 0U);
-  EXPECT_TRUE(mapped.view().empty());
+  EXPECT_EQ(trace::read_samt(path("e.samt")).size(), 0U);
+  const trace::TraceSource src = trace::TraceSource::open_samt(path("e.samt"));
+  EXPECT_EQ(src.size(), 0U);
+  EXPECT_TRUE(src.view().empty());
+}
+
+TEST_F(TraceIoTest, RangeOpenEqualsInMemorySubviewForBothVersions) {
+  const trace::Trace t = small_trace(3000);
+  trace::write_samt(path("r1.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("r2.samt"), t, t.name, t.seed, 512);
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  struct Range {
+    std::uint64_t begin, end;
+  };
+  // Block-straddling, block-aligned, whole, empty, begin > end (clamps
+  // to an empty range at end), end > size and begin > size (clamp).
+  for (const Range r : {Range{700, 1900}, Range{512, 1024}, Range{0, kAll},
+                        Range{5, 5}, Range{2000, 1000}, Range{2500, 9000},
+                        Range{4000, kAll}}) {
+    const std::uint64_t end = std::min<std::uint64_t>(r.end, t.size());
+    const std::uint64_t begin = std::min(r.begin, end);
+    const trace::TraceView want =
+        trace::TraceView(t).subview(begin, end - begin);
+    for (const char* f : {"r1.samt", "r2.samt"}) {
+      SCOPED_TRACE(std::string(f) + " [" + std::to_string(r.begin) + ", " +
+                   std::to_string(r.end) + ")");
+      const trace::TraceSource src =
+          trace::TraceSource::open_samt(path(f), r.begin, r.end);
+      EXPECT_EQ(src.name(), "gcc");
+      EXPECT_EQ(src.seed(), 7U);
+      expect_ops_equal(want, src.view());
+    }
+  }
 }
 
 // -------------------------------------------------------- reject corrupt --
@@ -145,12 +165,11 @@ TEST_F(TraceIoTest, RejectsBadMagic) {
   std::ofstream(path("bad.samt"), std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_THROW(
-      try { trace::TraceReader r(path("bad.samt")); } catch (const trace::TraceFormatError& e) {
+      try { (void)trace::read_samt(path("bad.samt")); } catch (const trace::TraceFormatError& e) {
         EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
         throw;
       },
       trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("bad.samt")), trace::TraceFormatError);
 }
 
 TEST_F(TraceIoTest, RejectsWrongVersion) {
@@ -161,7 +180,7 @@ TEST_F(TraceIoTest, RejectsWrongVersion) {
   std::ofstream(path("v99.samt"), std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_THROW(
-      try { trace::TraceReader r(path("v99.samt")); } catch (const trace::TraceFormatError& e) {
+      try { (void)trace::read_samt(path("v99.samt")); } catch (const trace::TraceFormatError& e) {
         EXPECT_NE(std::string(e.what()).find("version 99"), std::string::npos);
         throw;
       },
@@ -175,21 +194,24 @@ TEST_F(TraceIoTest, RejectsTruncatedFile) {
   bytes.resize(bytes.size() - 13);
   std::ofstream(path("trunc.samt"), std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(
-      try { trace::TraceReader r(path("trunc.samt")); } catch (const trace::TraceFormatError& e) {
-        EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
-        throw;
-      },
-      trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("trunc.samt")),
-               trace::TraceFormatError);
+  // The header alone still reads (a damaged file enumerates as a job);
+  // the record read classifies the damage as a torn tail at the file end.
+  EXPECT_NO_THROW((void)trace::read_samt_header(path("trunc.samt")));
+  try {
+    (void)trace::read_samt(path("trunc.samt"));
+    FAIL() << "truncated v1 file was accepted";
+  } catch (const trace::TraceCorruptError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+    EXPECT_EQ(e.damage, trace::TraceDamage::kTornTail);
+    EXPECT_EQ(e.offset, bytes.size());
+  }
 }
 
 TEST_F(TraceIoTest, RejectsHeaderOnlyStub) {
   std::ofstream(path("stub.samt"), std::ios::binary).write("SAMT", 4);
-  EXPECT_THROW(trace::read_samt_header(path("stub.samt")),
+  EXPECT_THROW((void)trace::read_samt_header(path("stub.samt")),
                trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("stub.samt")),
+  EXPECT_THROW((void)trace::read_samt(path("stub.samt")),
                trace::TraceFormatError);
 }
 
@@ -201,16 +223,50 @@ TEST_F(TraceIoTest, RejectsChecksumMismatch) {
   std::ofstream(path("flip.samt"), std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // The header itself is fine...
-  EXPECT_NO_THROW(trace::read_samt_header(path("flip.samt")));
-  // ...but both record readers notice.
-  EXPECT_THROW((void)trace::TraceReader(path("flip.samt")).read_all(),
-               trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("flip.samt")),
-               trace::TraceFormatError);
+  EXPECT_NO_THROW((void)trace::read_samt_header(path("flip.samt")));
+  // ...but the record read notices: interior corruption of block 0 (the
+  // record array), at the first record byte — what trace_health reports.
+  try {
+    (void)trace::read_samt(path("flip.samt"));
+    FAIL() << "checksum mismatch was accepted";
+  } catch (const trace::TraceCorruptError& e) {
+    EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(e.block, 0U);
+    EXPECT_EQ(e.offset, sizeof(trace::SamtHeader));
+  }
+  const trace::TraceHealth h = trace::trace_health(path("flip.samt"));
+  EXPECT_EQ(h.damage, trace::TraceDamage::kInteriorCorrupt);
+  EXPECT_EQ(h.first_bad_offset, sizeof(trace::SamtHeader));
+}
+
+TEST_F(TraceIoTest, V1ReadHonoursInjectedFaults) {
+  const trace::Trace t = small_trace(100);
+  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  const std::uint64_t size = fs::file_size(path("t.samt"));
+  // Short read: the file looks ARG bytes shorter — a torn tail there.
+  trace::set_io_fault(path("t.samt"), {trace::IoFault::Kind::kShortRead, 100});
+  try {
+    (void)trace::read_samt(path("t.samt"));
+    FAIL() << "short read was not noticed";
+  } catch (const trace::TraceCorruptError& e) {
+    EXPECT_EQ(e.damage, trace::TraceDamage::kTornTail);
+    EXPECT_EQ(e.offset, size - 100);
+  }
+  // Bit flip in block 0, the record array: interior corruption.
+  trace::set_io_fault(path("t.samt"), {trace::IoFault::Kind::kBitFlipBlock, 0});
+  try {
+    (void)trace::read_samt(path("t.samt"));
+    FAIL() << "bit flip was not noticed";
+  } catch (const trace::TraceCorruptError& e) {
+    EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+  }
+  // Each fault was consumed in memory: the file itself is clean.
+  expect_ops_equal(t, trace::read_samt(path("t.samt")));
+  trace::clear_io_faults();
 }
 
 TEST_F(TraceIoTest, RejectsMissingFile) {
-  EXPECT_THROW(trace::read_samt_header(path("absent.samt")),
+  EXPECT_THROW((void)trace::read_samt_header(path("absent.samt")),
                trace::TraceFormatError);
 }
 
@@ -220,9 +276,9 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("ammp"), 42);
   const trace::Trace t = gen.generate(30000);
   trace::write_samt(path("ammp.samt"), t, "ammp", 42);
-
-  const trace::MappedTrace mapped(path("ammp.samt"));
-  const trace::Trace copied = trace::TraceReader(path("ammp.samt")).read_all();
+  trace::write_samt_v2(path("ammp2.samt"), t, "ammp", 42);
+  const trace::Trace v1 = trace::read_samt(path("ammp.samt"));
+  const trace::Trace v2 = trace::read_samt(path("ammp2.samt"));
 
   for (const auto lsq : {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
                          sim::LsqChoice::kSamie}) {
@@ -230,10 +286,8 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
     sim::SimConfig cfg = sim::paper_config(lsq);
     cfg.instructions = t.size();
     const sim::SimResult in_memory = sim::run_simulation(cfg, t);
-    const sim::SimResult via_mmap = sim::run_simulation(cfg, mapped.view());
-    const sim::SimResult via_reader = sim::run_simulation(cfg, copied);
-    sim::expect_fields_equal(in_memory, via_mmap);
-    sim::expect_fields_equal(in_memory, via_reader);
+    sim::expect_fields_equal(in_memory, sim::run_simulation(cfg, v1));
+    sim::expect_fields_equal(in_memory, sim::run_simulation(cfg, v2));
     // And through the cfg.trace_path front door.
     sim::SimConfig replay_cfg = cfg;
     replay_cfg.trace_path = path("ammp.samt");
@@ -241,7 +295,7 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
   }
 }
 
-TEST_F(TraceIoTest, RunJobsSharesOneMappingAcrossLsqSweep) {
+TEST_F(TraceIoTest, RunJobsSharesOneCopyAcrossLsqSweep) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("swim"), 9);
   const trace::Trace t = gen.generate(20000);
   trace::write_samt(path("swim.samt"), t, "swim", 9);
@@ -281,18 +335,13 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
       trace::spec2000_profile("gcc"), 7, 1000);
   EXPECT_EQ(generated.name(), "gcc");
   EXPECT_EQ(generated.size(), 1000U);
-  EXPECT_FALSE(generated.is_mapped());
 
   trace::write_samt(path("g.samt"), generated.view(), generated.name(),
                     generated.seed());
-  const trace::TraceSource mapped = trace::TraceSource::open_samt(path("g.samt"));
-  EXPECT_TRUE(mapped.is_mapped());
-  EXPECT_EQ(mapped.name(), "gcc");
-  expect_ops_equal(generated.view(), mapped.view());
-
-  const trace::TraceSource copied = trace::TraceSource::read_samt(path("g.samt"));
-  EXPECT_FALSE(copied.is_mapped());
-  expect_ops_equal(generated.view(), copied.view());
+  const trace::TraceSource opened = trace::TraceSource::open_samt(path("g.samt"));
+  EXPECT_EQ(opened.name(), "gcc");
+  EXPECT_EQ(opened.seed(), generated.seed());
+  expect_ops_equal(generated.view(), opened.view());
 }
 
 // ------------------------------------------------------------ text import --

@@ -41,8 +41,6 @@
 //   --checkpoint=FILE      journal each completed job to FILE (crash-safe)
 //   --resume=FILE          resume an interrupted sweep from FILE: finished
 //                          jobs are loaded bit-identically, the rest run
-//   --no-verify-checksum   skip the SAMT FNV-1a checksum pass on replay
-//                          (for re-opening an already-verified trace)
 //   --inject-fault=J:A:KIND[:ARG]  test/CI hook: inject a fault at job J
 //                          (0-based) attempt A (1-based); KIND is flaky
 //                          (transient throw), fail (deterministic throw),
@@ -55,7 +53,8 @@
 //                          the job's trace path, consumed by the next
 //                          open): short-read (hide the last ARG bytes;
 //                          0 = 64) and bit-flip (flip one payload bit of
-//                          v2 block ARG in memory). Import-only kinds —
+//                          block ARG in memory; a v1 trace has only
+//                          block 0). Import-only kinds —
 //                          J indexes the imported file: enospc-on-import
 //                          (finalize fails as if the disk filled) and
 //                          torn-import (importer dies mid-block, torn
@@ -67,12 +66,12 @@
 //                        combined with --import-trace this converts the
 //                        imported text traces to SAMT
 //   --trace-format=V     SAMT version written by --record-trace: v1
-//                        (default; flat mmap-able records) or v2
+//                        (default; flat record array) or v2
 //                        (block-guarded + indexed; shardable)
 //   --replay-trace=PATH  replay a recorded .samt file — or every .samt
-//                        in a directory — (v1: mmap zero-copy; v2:
-//                        block-decoded). Replays the full trace unless
-//                        --insts is given
+//                        in a directory — read and verified into RAM
+//                        (a damaged file ends its job trace-damaged).
+//                        Replays the full trace unless --insts is given
 //   --trace-shards=N     split each replayed v2 trace into N
 //                        block-aligned shard jobs and emit one
 //                        reconciled row per trace (only when every
@@ -270,8 +269,6 @@ int main(int argc, char** argv) {
       sweep.resume = true;
     } else if (arg.rfind("--inject-fault=", 0) == 0) {
       fault_plan.faults.push_back(parse_fault(arg.substr(15)));
-    } else if (arg == "--no-verify-checksum") {
-      cfg.verify_trace_checksum = false;
     } else if (arg.rfind("--trace-format=", 0) == 0) {
       const std::string fmt = arg.substr(15);
       if (fmt == "v1") record_v2 = false;
@@ -403,7 +400,9 @@ int main(int argc, char** argv) {
   try {
   if (!replay_path.empty()) {
     // Replay recorded SAMT traces through the supervised sweep: workers
-    // sweeping one file share a single mmap via the trace cache.
+    // sweeping one file share a single copy via the trace cache. Only
+    // the header is read here, so a damaged file still enumerates and
+    // quarantines as its own job.
     std::vector<sim::Job> jobs;
     for (const auto& file : collect_files(replay_path, {".samt"})) {
       const trace::SamtHeader header = trace::read_samt_header(file);

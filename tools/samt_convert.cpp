@@ -1,5 +1,5 @@
-// samt_convert: converts SAMT traces between v1 (flat mmap-able record
-// array) and v2 (block-guarded, delta-encoded, indexed) in either
+// samt_convert: converts SAMT traces between v1 (flat record array)
+// and v2 (block-guarded, delta-encoded, indexed) in either
 // direction, with integrity verification on both ends.
 //
 //   samt_convert [options] <in.samt> <out.samt>
@@ -40,14 +40,10 @@ using namespace samie;
   std::exit(1);
 }
 
-/// Reads and fully verifies `path` with the reader matching its version.
+/// Reads and fully verifies `path` (trace::read_samt, either version).
 trace::Trace read_verified(const std::string& path, std::uint32_t& version) {
-  const trace::SamtHeader header = trace::read_samt_header(path);
-  version = header.version;
-  if (header.version == trace::kSamtVersion2) {
-    return trace::TraceV2Reader(path).read_all();
-  }
-  return trace::TraceReader(path).read_all();
+  version = trace::read_samt_header(path).version;
+  return trace::read_samt(path);
 }
 
 }  // namespace

@@ -13,11 +13,9 @@
 // (Core<lsq::SamieLsq, StatsCollector>) devirtualizes every LSQ call on
 // the per-memory-op hot path and inlines the once-per-cycle occupancy
 // hook, leaving the steady-state cycle loop with zero virtual dispatch.
-// The default arguments Core<lsq::LoadStoreQueue, CycleObserver> are the
-// type-erased variant kept for tools, examples and tests that pick the
-// queue at runtime — CTAD from a LoadStoreQueue& (and a nullptr or
-// CycleObserver* observer) selects it automatically, so
-// `Core c(cfg, trace, *queue, ...)` keeps working.
+// CTAD picks the queue type from the LSQ argument, and a nullptr
+// observer selects the CycleObserver default, so
+// `Core c(cfg, trace, queue, ..., nullptr)` binds the concrete queue.
 //
 // In-flight state is laid out for the access pattern, not the object
 // model (the same argument SAMIE-LSQ makes for the queue itself): the
@@ -257,8 +255,7 @@ class SlotStatus {
   std::uint32_t w_ = 0;
 };
 
-template <typename LsqT = lsq::LoadStoreQueue,
-          typename ObserverT = CycleObserver>
+template <typename LsqT, typename ObserverT = CycleObserver>
 class Core final : private lsq::PresentBitClearer {
  public:
   /// `trace` is a borrowed view: the backing storage (an owned Trace, a
@@ -612,9 +609,3 @@ Core(const CoreConfig&, trace::TraceView, LsqT&, mem::MemoryHierarchy&,
 }  // namespace samie::core
 
 #include "src/core/core_impl.h"  // template member definitions
-
-namespace samie::core {
-/// The type-erased instantiation is compiled once in core.cpp; every
-/// other TU links against it instead of re-instantiating.
-extern template class Core<lsq::LoadStoreQueue, CycleObserver>;
-}  // namespace samie::core

@@ -10,9 +10,8 @@
 //
 // Energy is computed once, at fold time, as `count * pj` from the
 // constants in lsq_model.h; the fold is O(1) in the number of events.
-// save()/load() move the raw counts to and from a flat array: merging
-// per-shard runs is an element-wise integer add of those arrays
-// (LedgerCounts), associative and order-independent.
+// save()/load() move the raw counts to and from a flat array
+// (LedgerCounts), which SimResult carries and the energy fold reads.
 // docs/ENERGY_LEDGER.md documents the fold semantics and why the golden
 // statistics were re-frozen when this scheme replaced per-event FP
 // accumulation.
@@ -34,8 +33,8 @@ class CountLedger {
   static constexpr std::size_t kSavedCounts = N;
   explicit CountLedger(const LsqEnergyConstants& k) : k_(&k) {}
 
-  /// Raw counts out to / in from a flat array (SimResult carries them so
-  /// sharded replay can re-fold energy from exactly-merged integers).
+  /// Raw counts out to / in from a flat array (SimResult carries them;
+  /// fold_energies re-folds energy from them).
   void save(std::uint64_t* out) const { std::copy_n(n_, N, out); }
   void load(const std::uint64_t* in) { std::copy_n(in, N, n_); }
 

@@ -53,10 +53,10 @@ void flush_and_sync(const std::string& path, std::FILE* f) {
 /// but the rename that created the file lives in the directory, and a
 /// machine crash before a directory sync can lose the whole journal.
 [[nodiscard]] bool sync_parent_dir(const std::string& path) noexcept {
-  std::string dir;
   const std::size_t slash = path.find_last_of('/');
-  dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0               ? std::string("/")
+                                                     : path.substr(0, slash);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return false;
   const bool ok = ::fsync(fd) == 0;

@@ -19,8 +19,8 @@
 // ignored on load. 'R' lines are results; 'Q' lines are quarantine
 // records (jobs that crashed an isolated child, so a resume never
 // re-runs a known-poison job); 'D' lines are
-// trace-damage records (jobs whose replay range touched corrupt trace
-// blocks — deterministic, so a resume seals rather than retries them).
+// trace-damage records (jobs whose trace has corrupt blocks —
+// deterministic, so a resume seals rather than retries them).
 // Payload contents
 // are the caller's (the sweep scheduler journals job outcomes, the perf
 // harness journals program measurements); this module only guarantees
@@ -80,8 +80,8 @@ class CheckpointWriter {
   /// crashed: resume must skip it, not re-run it).
   void append_quarantine(const std::string& payload);
 
-  /// Appends one guarded trace-damage line (a job whose replay range
-  /// touched corrupt trace blocks: deterministic, resume must not
+  /// Appends one guarded trace-damage line (a job whose trace has
+  /// corrupt blocks: deterministic, resume must not
   /// re-run it). Old readers count 'D' lines as ignored_lines and keep
   /// working — the journal stays backward readable.
   void append_damaged(const std::string& payload);

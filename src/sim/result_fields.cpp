@@ -69,21 +69,21 @@ using enum FieldKind;
 // Row order is the journal token order: reordering rows silently
 // misassigns fields of older journals (SimResultWire pins it).
 constexpr ResultField kFields[] = {
-    {"cycles", kCounter, in_core<&C::cycles>},
-    {"committed", kCounter, in_core<&C::committed>},
-    {"ipc", kRatio, in_core<&C::ipc>},
-    {"mispredict_squashes", kCounter, in_core<&C::mispredict_squashes>},
-    {"deadlock_flushes", kCounter, in_core<&C::deadlock_flushes>},
-    {"loads_executed", kCounter, in_core<&C::loads_executed>},
-    {"stores_committed", kCounter, in_core<&C::stores_committed>},
-    {"forwarded_loads", kCounter, in_core<&C::forwarded_loads>},
-    {"partial_forward_waits", kCounter, in_core<&C::partial_forward_waits>},
-    {"agen_gated", kCounter, in_core<&C::agen_gated>},
-    {"value_mismatches", kCounter, in_core<&C::value_mismatches>},
-    {"dcache_way_known", kCounter, in_core<&C::dcache_way_known>},
-    {"dcache_full", kCounter, in_core<&C::dcache_full>},
-    {"dtlb_accesses", kCounter, in_core<&C::dtlb_accesses>},
-    {"dtlb_cached", kCounter, in_core<&C::dtlb_cached>},
+    {"cycles", kStatistic, in_core<&C::cycles>},
+    {"committed", kStatistic, in_core<&C::committed>},
+    {"ipc", kStatistic, in_core<&C::ipc>},
+    {"mispredict_squashes", kStatistic, in_core<&C::mispredict_squashes>},
+    {"deadlock_flushes", kStatistic, in_core<&C::deadlock_flushes>},
+    {"loads_executed", kStatistic, in_core<&C::loads_executed>},
+    {"stores_committed", kStatistic, in_core<&C::stores_committed>},
+    {"forwarded_loads", kStatistic, in_core<&C::forwarded_loads>},
+    {"partial_forward_waits", kStatistic, in_core<&C::partial_forward_waits>},
+    {"agen_gated", kStatistic, in_core<&C::agen_gated>},
+    {"value_mismatches", kStatistic, in_core<&C::value_mismatches>},
+    {"dcache_way_known", kStatistic, in_core<&C::dcache_way_known>},
+    {"dcache_full", kStatistic, in_core<&C::dcache_full>},
+    {"dtlb_accesses", kStatistic, in_core<&C::dtlb_accesses>},
+    {"dtlb_cached", kStatistic, in_core<&C::dtlb_cached>},
     {"quiescent_cycles_skipped", kEngineCounter,
      in_core<&C::quiescent_cycles_skipped>},
     {"fast_forwards", kEngineCounter, in_core<&C::fast_forwards>},
@@ -100,49 +100,49 @@ constexpr ResultField kFields[] = {
      memory_nj<energy::DcacheLedger, L::kDcache>},
     {"dtlb_energy_nj", kEnergy, in_result<&S::dtlb_energy_nj>,
      memory_nj<energy::DtlbLedger, L::kDtlb>},
-    {"area_total", kArea, in_result<&S::area_total>},
-    {"area_distrib", kArea, in_result<&S::area_distrib>},
-    {"area_shared", kArea, in_result<&S::area_shared>},
-    {"area_addrbuf", kArea, in_result<&S::area_addrbuf>},
-    {"shared_occupancy_mean", kMean, in_result<&S::shared_occupancy_mean>},
-    {"shared_occupancy_max", kMax, in_result<&S::shared_occupancy_max>},
-    {"buffer_nonempty_frac", kMean, in_result<&S::buffer_nonempty_frac>},
-    {"buffer_occupancy_mean", kMean, in_result<&S::buffer_occupancy_mean>},
-    {"l1d_hits", kCounter, in_result<&S::l1d_hits>},
-    {"l1d_misses", kCounter, in_result<&S::l1d_misses>},
-    {"dtlb_hits", kCounter, in_result<&S::dtlb_hits>},
-    {"dtlb_misses", kCounter, in_result<&S::dtlb_misses>},
-    {"branch_mispredicts", kCounter, in_result<&S::branch_mispredicts>},
-    {"branch_lookups", kCounter, in_result<&S::branch_lookups>},
+    {"area_total", kStatistic, in_result<&S::area_total>},
+    {"area_distrib", kStatistic, in_result<&S::area_distrib>},
+    {"area_shared", kStatistic, in_result<&S::area_shared>},
+    {"area_addrbuf", kStatistic, in_result<&S::area_addrbuf>},
+    {"shared_occupancy_mean", kStatistic, in_result<&S::shared_occupancy_mean>},
+    {"shared_occupancy_max", kStatistic, in_result<&S::shared_occupancy_max>},
+    {"buffer_nonempty_frac", kStatistic, in_result<&S::buffer_nonempty_frac>},
+    {"buffer_occupancy_mean", kStatistic, in_result<&S::buffer_occupancy_mean>},
+    {"l1d_hits", kStatistic, in_result<&S::l1d_hits>},
+    {"l1d_misses", kStatistic, in_result<&S::l1d_misses>},
+    {"dtlb_hits", kStatistic, in_result<&S::dtlb_hits>},
+    {"dtlb_misses", kStatistic, in_result<&S::dtlb_misses>},
+    {"branch_mispredicts", kStatistic, in_result<&S::branch_mispredicts>},
+    {"branch_lookups", kStatistic, in_result<&S::branch_lookups>},
     // Raw ledger counts, in each ledger's save() order.
-    {"conv.searches", kLedger, ledger<L::kConv + 0>},
-    {"conv.addrs_compared", kLedger, ledger<L::kConv + 1>},
-    {"conv.addr_rw", kLedger, ledger<L::kConv + 2>},
-    {"conv.datum_rw", kLedger, ledger<L::kConv + 3>},
-    {"samie.bus_sends", kLedger, ledger<L::kSamie + 0>},
-    {"samie.d_addr_searches", kLedger, ledger<L::kSamie + 1>},
-    {"samie.d_addrs_compared", kLedger, ledger<L::kSamie + 2>},
-    {"samie.d_age_searches", kLedger, ledger<L::kSamie + 3>},
-    {"samie.d_age_ids_compared", kLedger, ledger<L::kSamie + 4>},
-    {"samie.d_addr_rw", kLedger, ledger<L::kSamie + 5>},
-    {"samie.d_age_rw", kLedger, ledger<L::kSamie + 6>},
-    {"samie.d_datum_rw", kLedger, ledger<L::kSamie + 7>},
-    {"samie.d_translation_rw", kLedger, ledger<L::kSamie + 8>},
-    {"samie.d_line_id_rw", kLedger, ledger<L::kSamie + 9>},
-    {"samie.s_addr_searches", kLedger, ledger<L::kSamie + 10>},
-    {"samie.s_addrs_compared", kLedger, ledger<L::kSamie + 11>},
-    {"samie.s_age_searches", kLedger, ledger<L::kSamie + 12>},
-    {"samie.s_age_ids_compared", kLedger, ledger<L::kSamie + 13>},
-    {"samie.s_addr_rw", kLedger, ledger<L::kSamie + 14>},
-    {"samie.s_age_rw", kLedger, ledger<L::kSamie + 15>},
-    {"samie.s_datum_rw", kLedger, ledger<L::kSamie + 16>},
-    {"samie.s_translation_rw", kLedger, ledger<L::kSamie + 17>},
-    {"samie.s_line_id_rw", kLedger, ledger<L::kSamie + 18>},
-    {"samie.addrbuf_accesses", kLedger, ledger<L::kSamie + 19>},
-    {"dcache.full", kLedger, ledger<L::kDcache + 0>},
-    {"dcache.way_known", kLedger, ledger<L::kDcache + 1>},
-    {"dtlb.accesses", kLedger, ledger<L::kDtlb + 0>},
-    {"dtlb.cached", kLedger, ledger<L::kDtlb + 1>},
+    {"conv.searches", kStatistic, ledger<L::kConv + 0>},
+    {"conv.addrs_compared", kStatistic, ledger<L::kConv + 1>},
+    {"conv.addr_rw", kStatistic, ledger<L::kConv + 2>},
+    {"conv.datum_rw", kStatistic, ledger<L::kConv + 3>},
+    {"samie.bus_sends", kStatistic, ledger<L::kSamie + 0>},
+    {"samie.d_addr_searches", kStatistic, ledger<L::kSamie + 1>},
+    {"samie.d_addrs_compared", kStatistic, ledger<L::kSamie + 2>},
+    {"samie.d_age_searches", kStatistic, ledger<L::kSamie + 3>},
+    {"samie.d_age_ids_compared", kStatistic, ledger<L::kSamie + 4>},
+    {"samie.d_addr_rw", kStatistic, ledger<L::kSamie + 5>},
+    {"samie.d_age_rw", kStatistic, ledger<L::kSamie + 6>},
+    {"samie.d_datum_rw", kStatistic, ledger<L::kSamie + 7>},
+    {"samie.d_translation_rw", kStatistic, ledger<L::kSamie + 8>},
+    {"samie.d_line_id_rw", kStatistic, ledger<L::kSamie + 9>},
+    {"samie.s_addr_searches", kStatistic, ledger<L::kSamie + 10>},
+    {"samie.s_addrs_compared", kStatistic, ledger<L::kSamie + 11>},
+    {"samie.s_age_searches", kStatistic, ledger<L::kSamie + 12>},
+    {"samie.s_age_ids_compared", kStatistic, ledger<L::kSamie + 13>},
+    {"samie.s_addr_rw", kStatistic, ledger<L::kSamie + 14>},
+    {"samie.s_age_rw", kStatistic, ledger<L::kSamie + 15>},
+    {"samie.s_datum_rw", kStatistic, ledger<L::kSamie + 16>},
+    {"samie.s_translation_rw", kStatistic, ledger<L::kSamie + 17>},
+    {"samie.s_line_id_rw", kStatistic, ledger<L::kSamie + 18>},
+    {"samie.addrbuf_accesses", kStatistic, ledger<L::kSamie + 19>},
+    {"dcache.full", kStatistic, ledger<L::kDcache + 0>},
+    {"dcache.way_known", kStatistic, ledger<L::kDcache + 1>},
+    {"dtlb.accesses", kStatistic, ledger<L::kDtlb + 0>},
+    {"dtlb.cached", kStatistic, ledger<L::kDtlb + 1>},
 };
 static_assert(std::size(kFields) == kSimResultFields,
               "a new row changes the wire format: bump kSimResultFields "

@@ -1,13 +1,12 @@
 // The result-field table: one row per SimResult statistic, in journal
-// token order. The journal and isolate frame (checkpoint.cpp), the shard
-// subtract/merge (trace_shard.cpp), the energy fold, the samie_sim CSV
-// and the perf_report JSON loop over it instead of listing fields by
-// hand: the named-statistic registry idiom of esesc's GStats.
+// token order. The journal and isolate frame (checkpoint.cpp), the
+// energy fold, the samie_sim CSV and the perf_report JSON loop over it
+// instead of listing fields by hand: the named-statistic registry idiom
+// of esesc's GStats.
 //
 // Adding a statistic:
-//   1. Add the member and one row (result_fields.cpp) whose kind gives
-//      its merge rule; journal, frame, shard merge and the table-driven
-//      test comparisons pick it up.
+//   1. Add the member and one row (result_fields.cpp) with its kind;
+//      journal, frame and the table-driven test comparisons pick it up.
 //   2. Add a CSV column (kCsvColumns in tools/samie_sim.cpp) only if it
 //      belongs in the CSV; that changes the goldens, so regenerate them
 //      with tools/regen_goldens.sh and review the diff.
@@ -28,17 +27,11 @@
 
 namespace samie::sim {
 
-/// How a statistic is produced, which fixes how it subtracts (shard
-/// measured region = whole run - warm-up run) and merges (shards summed).
+/// How a statistic is produced.
 enum class FieldKind : std::uint8_t {
-  kCounter,        ///< integer event count: subtracts and sums in wrap space
-  kEngineCounter,  ///< engine metric, not a simulation statistic; as kCounter
-  kMax,            ///< running maximum: the whole run's, max over shards
-  kLedger,         ///< raw energy-ledger count (LedgerCounts); as kCounter
-  kEnergy,         ///< nJ, re-folded from the ledger counts
-  kRatio,          ///< ipc, recomputed as committed / cycles
-  kMean,           ///< per-cycle mean, reconstructed cycle-weighted
-  kArea,           ///< FP area integral: subtracts and sums
+  kStatistic,      ///< simulated: counters, ratios, means, area, ledger counts
+  kEngineCounter,  ///< engine metric, not a simulation statistic
+  kEnergy,         ///< nJ, folded from the ledger counts
 };
 
 struct ResultField {
@@ -57,17 +50,8 @@ struct ResultField {
     return std::visit([](auto* p) -> Value { return *p; },
                       at(const_cast<SimResult&>(r)));
   }
-  [[nodiscard]] std::uint64_t& u64(SimResult& r) const {
-    return *std::get<std::uint64_t*>(at(r));
-  }
   [[nodiscard]] double& f64(SimResult& r) const {
     return *std::get<double*>(at(r));
-  }
-  [[nodiscard]] std::uint64_t u64(const SimResult& r) const {
-    return std::get<std::uint64_t>(value(r));
-  }
-  [[nodiscard]] double f64(const SimResult& r) const {
-    return std::get<double>(value(r));
   }
 };
 
@@ -89,8 +73,7 @@ struct ResultColumn {
 [[nodiscard]] energy::LsqEnergyConstants energy_constants(const SimConfig& cfg);
 
 /// Folds every kEnergy field of `r` from r.ledgers through `cfg`'s
-/// constants. A plain run and a shard merge share this one fold, so
-/// equal counts give bit-identical energies.
+/// constants, so equal counts give bit-identical energies.
 void fold_energies(SimResult& r, const SimConfig& cfg);
 
 }  // namespace samie::sim

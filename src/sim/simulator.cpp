@@ -14,7 +14,6 @@
 #include "src/lsq/lsq_interface.h"
 #include "src/lsq/samie_lsq.h"
 #include "src/sim/result_fields.h"
-#include "src/sim/trace_shard.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/workload.h"
@@ -184,7 +183,7 @@ struct ConvBundle {
 };
 
 struct UnboundedBundle {
-  using Queue = lsq::LoadStoreQueue;
+  using Queue = lsq::ConventionalLsq;
   std::unique_ptr<Queue> queue;
   UnboundedBundle(const SimConfig& cfg, const energy::LsqEnergyConstants&)
       : queue(lsq::make_unbounded_lsq(cfg.core.rob_size)) {}
@@ -247,42 +246,14 @@ SimResult run_machine(const SimConfig& cfg, trace::TraceView trace) {
   return r;
 }
 
-/// Runs one job: a plain run, or — for a shard of a sharded replay — the
-/// warm-up-excluding difference of two complete runs over the same view
-/// (trace_shard.h): first the warm-up prefix alone (the "base" run),
-/// then prefix plus measured range (the "whole" run). Two complete runs,
-/// rather than one run with a stats reset, keep the subtraction exact:
-/// under full warm-up, shard i's base run is bit-identical to shard
-/// i-1's whole run, so the per-shard differences telescope to the
-/// unsharded totals.
-template <typename Bundle>
-SimResult run_job(const SimConfig& cfg, trace::TraceView trace) {
-  const std::uint64_t warm = effective_trace_warmup(cfg);
-  if (warm == 0) return run_machine<Bundle>(cfg, trace);
-  const std::uint64_t total =
-      std::min<std::uint64_t>(cfg.instructions, trace.size());
-  // The sub-runs replay plain prefixes: shard fields zeroed, so they are
-  // bit-identical to standalone runs over the same records.
-  SimConfig sub = cfg;
-  sub.trace_measure_begin = 0;
-  sub.trace_measure_end = 0;
-  sub.trace_warmup = 0;
-  sub.instructions = std::min(warm, total);
-  const SimResult base =
-      run_machine<Bundle>(sub, trace.subview(0, sub.instructions));
-  sub.instructions = total;
-  const SimResult whole = run_machine<Bundle>(sub, trace.subview(0, total));
-  return subtract_measured(whole, base, cfg);
-}
-
 }  // namespace
 
 SimResult run_simulation(const SimConfig& cfg, trace::TraceView trace) {
   switch (cfg.lsq) {
-    case LsqChoice::kConventional: return run_job<ConvBundle>(cfg, trace);
-    case LsqChoice::kUnbounded: return run_job<UnboundedBundle>(cfg, trace);
-    case LsqChoice::kArb: return run_job<ArbBundle>(cfg, trace);
-    case LsqChoice::kSamie: return run_job<SamieBundle>(cfg, trace);
+    case LsqChoice::kConventional: return run_machine<ConvBundle>(cfg, trace);
+    case LsqChoice::kUnbounded: return run_machine<UnboundedBundle>(cfg, trace);
+    case LsqChoice::kArb: return run_machine<ArbBundle>(cfg, trace);
+    case LsqChoice::kSamie: return run_machine<SamieBundle>(cfg, trace);
   }
   throw std::logic_error("run_simulation: unknown LsqChoice");
 }
@@ -298,9 +269,8 @@ SimResult run_trace_file(const SimConfig& cfg) {
   if (cfg.trace_path.empty()) {
     throw std::invalid_argument("run_trace_file: cfg.trace_path is empty");
   }
-  const TraceRange range = trace_open_range(cfg);
   const trace::TraceSource source =
-      trace::TraceSource::open_samt(cfg.trace_path, range.begin, range.end);
+      trace::TraceSource::open_samt(cfg.trace_path);
   return run_simulation(cfg, source.view());
 }
 

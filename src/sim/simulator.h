@@ -14,11 +14,8 @@
 namespace samie::sim {
 
 /// Raw integer event counts of every energy ledger, in one flat array.
-/// Carrying them beside the folded energies is what makes sharded-replay
-/// reconciliation exact: per-shard counts subtract and merge as integers
-/// (associative, order-independent), and the merged counts re-fold to
-/// energy through the same constants — bit-identical to an unsharded
-/// run's fold. Layout: [kConv..) ConvLsqLedger, [kSamie..) SamieLsqLedger,
+/// The energies are folded from them (fold_energies, result_fields.h).
+/// Layout: [kConv..) ConvLsqLedger, [kSamie..) SamieLsqLedger,
 /// [kDcache..) DcacheLedger, [kDtlb..) DtlbLedger.
 struct LedgerCounts {
   static constexpr std::size_t kConv = 0;     ///< 4 counts
@@ -62,7 +59,7 @@ struct SimResult {
   std::uint64_t branch_mispredicts = 0;
   std::uint64_t branch_lookups = 0;
 
-  // -- raw ledger counts (shard reconciliation; see LedgerCounts) ---------------
+  // -- raw ledger counts (the energies' source; see LedgerCounts) ---------------
   LedgerCounts ledgers;
 
   /// Deadlock-avoidance flushes per million cycles (Figure 6).
@@ -85,8 +82,7 @@ struct SimResult {
                                     const std::string& program);
 
 /// Convenience: replays the recorded SAMT trace at `cfg.trace_path`
-/// (records trace_open_range(cfg), read and verified by
-/// trace::read_samt). Throws trace::TraceFormatError on malformed files,
+/// (read whole and verified by trace::read_samt). Throws trace::TraceFormatError on malformed files,
 /// trace::TraceCorruptError on damaged ones, and std::invalid_argument
 /// when `cfg.trace_path` is empty.
 [[nodiscard]] SimResult run_trace_file(const SimConfig& cfg);

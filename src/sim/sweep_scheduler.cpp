@@ -740,8 +740,8 @@ class SweepMachine {
                " (quarantined by a previous run)";
     oc->crash = std::move(crash);
   }
-  // Trace-damage records: a previous run verified that this job's replay
-  // range touches corrupt blocks. Deterministic — the file doesn't heal —
+  // Trace-damage records: a previous run verified that this job's trace
+  // has corrupt blocks. Deterministic — the file doesn't heal —
   // so the job seals as TraceDamaged, not re-run.
   for (const std::string& payload : c.damaged) {
     DecodedHead d;
@@ -847,8 +847,8 @@ std::uint64_t sweep_fingerprint(const std::vector<Job>& jobs) {
     os << job.program << '\x1f' << job.tag << '\x1f'
        << lsq_choice_name(c.lsq) << '\x1f' << c.instructions << '\x1f'
        << c.seed << '\x1f' << c.trace_path << '\x1f'
-       << c.trace_measure_begin << '\x1f' << c.trace_measure_end << '\x1f'
-       << c.trace_warmup << '\x1f'
+       // Zeros where three deleted fields hashed: old journals still resume.
+       << "0\x1f" "0\x1f" "0\x1f"
        << c.paper_energy_constants << '\x1f'
        << c.core.exploit_known_line_latency << '\x1f'
        << c.conventional.entries << '\x1f' << c.samie.banks << '\x1f'

@@ -70,11 +70,11 @@ enum class JobStatus : std::uint8_t {
   /// Isolation only: the child hit its resource jail (RLIMIT_AS
   /// allocation failure, RLIMIT_CPU SIGXCPU, or a kernel OOM kill).
   kResourceExceeded,
-  /// The replay range touched corrupt trace blocks (trace::
-  /// TraceCorruptError: torn tail, interior corruption, bad index).
-  /// Deterministic — the bytes on disk don't heal — so the job is
-  /// journaled with a 'D' record and a resume seals it. Jobs whose
-  /// ranges avoid the damage complete with bit-identical results.
+  /// The job's trace has corrupt blocks (trace::TraceCorruptError:
+  /// torn tail, interior corruption, bad index). Deterministic — the
+  /// bytes on disk don't heal — so the job is journaled with a 'D'
+  /// record and a resume seals it. Jobs over undamaged traces complete
+  /// with bit-identical results.
   kTraceDamaged,
 };
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
@@ -262,7 +262,7 @@ struct SweepReport {
   std::size_t skipped = 0;
   std::size_t crashed = 0;            ///< child died on a fatal signal
   std::size_t resource_exceeded = 0;  ///< child hit its rlimit jail
-  std::size_t trace_damaged = 0;      ///< replay range touched corrupt blocks
+  std::size_t trace_damaged = 0;      ///< trace had corrupt blocks
   std::size_t resumed = 0;  ///< subset of `completed` loaded from journal
   /// Subset of `crashed` skipped on resume via a quarantine record.
   std::size_t quarantined = 0;

@@ -38,12 +38,8 @@ std::shared_ptr<const trace::TraceSource> TraceCache::get(const Job& job) {
                                        job.config.seed,
                                        job.config.instructions));
     } else {
-      // Shard jobs open only their range — the point of sharding is that
-      // no single consumer decodes the whole long trace.
-      const TraceRange range = trace_open_range(job.config);
       built = std::make_shared<const trace::TraceSource>(
-          trace::TraceSource::open_samt(job.config.trace_path, range.begin,
-                                        range.end));
+          trace::TraceSource::open_samt(job.config.trace_path));
     }
   } catch (...) {
     std::scoped_lock lock(mu_);
@@ -105,10 +101,7 @@ TraceCache::Key TraceCache::key_of(const Job& job) {
   if (path.empty()) {
     return Key{job.program, job.config.instructions, job.config.seed};
   }
-  // Shard jobs over the same file open different record ranges, so the
-  // range is part of the key.
-  const TraceRange range = trace_open_range(job.config);
-  return Key{"file:" + path, range.begin, range.end};
+  return Key{"file:" + path, 0, 0};
 }
 
 }  // namespace samie::sim

@@ -2,9 +2,7 @@
 // and per-consumer release discipline.
 //
 // Generated workloads are keyed by (program, length, seed); recorded
-// SAMT files by (path, opened record range) — trace_open_range(), so
-// shard jobs over the same file get distinct keys per range and each
-// materializes only its own blocks. The first worker to request a key
+// SAMT files by their path alone. The first worker to request a key
 // builds it *outside* the cache lock (distinct keys materialize
 // concurrently) while later requesters wait on the latch instead of
 // generating or reading the same multi-MB workload a second time. Every

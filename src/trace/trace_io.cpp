@@ -272,12 +272,11 @@ SamtHeader read_samt_header(const std::string& path) {
 
 namespace {
 
-/// The v1 branch of read_samt(): copies the whole record array, checks
-/// the file size against the header count and the checksum over every
-/// record, then keeps records [begin, end). `fault` is the path's armed
-/// IoFault, already consumed by the caller.
+/// The v1 branch of read_samt(): copies the whole record array and
+/// checks the file size against the header count and the checksum over
+/// every record. `fault` is the path's armed IoFault, already consumed
+/// by the caller.
 [[nodiscard]] Trace read_v1(const std::string& path, const SamtHeader& h,
-                            std::uint64_t begin, std::uint64_t end,
                             const IoFault& fault) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) {
@@ -321,28 +320,15 @@ namespace {
                             TraceDamage::kInteriorCorrupt, 0,
                             sizeof(SamtHeader));
   }
-  if (end > h.count) end = h.count;
-  if (begin > end) begin = end;
-  t.ops.erase(t.ops.begin() + static_cast<std::ptrdiff_t>(end), t.ops.end());
-  t.ops.erase(t.ops.begin(),
-              t.ops.begin() + static_cast<std::ptrdiff_t>(begin));
   return t;
 }
 
 }  // namespace
 
-Trace read_samt(const std::string& path, std::uint64_t begin,
-                std::uint64_t end) {
+Trace read_samt(const std::string& path) {
   const SamtHeader h = read_samt_header(path);
-  if (h.version == kSamtVersion2) {
-    const TraceV2Reader reader(path);
-    Trace t;
-    t.name = reader.name();
-    t.seed = reader.header().seed;
-    t.ops = reader.read_range(begin, end);
-    return t;
-  }
-  return read_v1(path, h, begin, end, take_io_fault(path));
+  if (h.version == kSamtVersion2) return TraceV2Reader(path).read_all();
+  return read_v1(path, h, take_io_fault(path));
 }
 
 // ----------------------------------------------------------- SAMT v2 -----
@@ -904,56 +890,18 @@ TraceV2Reader::TraceV2Reader(const std::string& path) : path_(path) {
 
 std::string TraceV2Reader::name() const { return header_name(header_); }
 
-std::vector<MicroOp> TraceV2Reader::read_range(std::uint64_t begin,
-                                               std::uint64_t end) const {
-  if (end > header_.count) end = header_.count;
-  if (begin > end) begin = end;
-  std::vector<MicroOp> out;
-  if (begin == end) return out;
-  out.reserve(static_cast<std::size_t>(end - begin));
-
-  // First block whose record range reaches `begin` (index entries carry
-  // contiguous first_record values, so this is a binary search).
-  std::size_t bi = 0;
-  {
-    std::size_t lo = 0;
-    std::size_t hi = index_.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (index_[mid].first_record + index_[mid].record_count <= begin) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    bi = lo;
-  }
-
+Trace TraceV2Reader::read_all() const {
   FilePtr f(std::fopen(path_.c_str(), "rb"));
   if (f == nullptr) {
     fail(path_, std::string("cannot open: ") + std::strerror(errno));
   }
-  std::vector<MicroOp> decoded;
-  for (; bi < index_.size() && index_[bi].first_record < end; ++bi) {
-    const SamtIndexEntry& e = index_[bi];
-    decoded.clear();
-    read_and_decode_block(path_, f.get(), e, bi, fault_, decoded);
-    const std::uint64_t lo = std::max(begin, e.first_record);
-    const std::uint64_t hi = std::min(end, e.first_record + e.record_count);
-    out.insert(out.end(),
-               decoded.begin() + static_cast<std::ptrdiff_t>(lo -
-                                                             e.first_record),
-               decoded.begin() + static_cast<std::ptrdiff_t>(hi -
-                                                             e.first_record));
-  }
-  return out;
-}
-
-Trace TraceV2Reader::read_all() const {
   Trace t;
   t.name = name();
   t.seed = header_.seed;
-  t.ops = read_range(0, header_.count);
+  t.ops.reserve(static_cast<std::size_t>(header_.count));
+  for (std::size_t bi = 0; bi < index_.size(); ++bi) {
+    read_and_decode_block(path_, f.get(), index_[bi], bi, fault_, t.ops);
+  }
   return t;
 }
 
@@ -976,7 +924,7 @@ TraceHealth trace_health(const std::string& path) {
                         std::min<std::uint64_t>(sniff.count, ~std::uint32_t{0})),
                     true};
     try {
-      (void)read_v1(path, sniff, 0, 0, fault);
+      (void)read_v1(path, sniff, fault);
     } catch (const TraceCorruptError& e) {
       blk.ok = false;
       h.damage = e.damage;

@@ -151,15 +151,13 @@ void write_samt(const std::string& path, TraceView ops,
 [[nodiscard]] SamtHeader read_samt_header(const std::string& path);
 
 /// The one SAMT reader: opens `path` (v1 or v2, by its header), reads
-/// records [begin, end) clamped to the trace into an owned Trace, and
-/// verifies everything it reads — v1's size and whole-array checksum, or
-/// every touched v2 block's guard. Throws TraceFormatError for files
-/// that are not SAMT traces and TraceCorruptError for damaged ones
-/// (v1: a size mismatch is a torn tail at the file size; a checksum
-/// mismatch is interior corruption of block 0 at offset 64). Honours an
-/// armed IoFault for the path.
-[[nodiscard]] Trace read_samt(const std::string& path, std::uint64_t begin = 0,
-                              std::uint64_t end = ~std::uint64_t{0});
+/// the whole trace into an owned Trace, and verifies everything it reads
+/// — v1's size and whole-array checksum, or every v2 block's guard.
+/// Throws TraceFormatError for files that are not SAMT traces and
+/// TraceCorruptError for damaged ones (v1: a size mismatch is a torn
+/// tail at the file size; a checksum mismatch is interior corruption of
+/// block 0 at offset 64). Honours an armed IoFault for the path.
+[[nodiscard]] Trace read_samt(const std::string& path);
 
 // ------------------------------------------------------------- SAMT v2 --
 //
@@ -176,17 +174,16 @@ void write_samt(const std::string& path, TraceView ops,
 //   [SamtFooter: 32 bytes]  "SAMTIDX2", index offset + size, guard
 //
 // Delta state (previous pc, previous memory address) resets at every
-// block boundary, so any block decodes independently of its neighbors —
-// that is what makes O(1) random seeks and block-aligned sharded replay
-// possible. Full layout and damage taxonomy: docs/TRACE_FORMAT.md.
+// block boundary, so any block decodes and verifies independently of its
+// neighbors: damage is pinned to the one block whose guard fails. Full
+// layout and damage taxonomy: docs/TRACE_FORMAT.md.
 
 inline constexpr std::uint32_t kBlockMagic = 0x4B4C4253;   // "SBLK" (LE)
 inline constexpr std::uint32_t kIndexMagic = 0x58444953;   // "SIDX" (LE)
 inline constexpr char kFooterMagic[8] = {'S', 'A', 'M', 'T',
                                          'I', 'D', 'X', '2'};
 /// Default records per block: big enough to amortize headers and let the
-/// deltas compress, small enough that damage costs little and shard
-/// boundaries stay fine-grained.
+/// deltas compress, small enough that damage is pinned to a small region.
 inline constexpr std::uint32_t kDefaultBlockRecords = 4096;
 
 #pragma pack(push, 1)
@@ -263,9 +260,7 @@ struct BlockHealth {
   bool ok = false;
 };
 
-/// Full-file damage report: what trace_inspector --verify prints and what
-/// the sweep scheduler uses to quarantine only the jobs whose replay
-/// range touches a bad block.
+/// Full-file damage report: what trace_inspector --verify prints.
 struct TraceHealth {
   std::uint32_t version = 0;
   TraceDamage damage = TraceDamage::kNone;
@@ -348,9 +343,8 @@ void write_samt_v2(const std::string& path, TraceView ops,
 // ------------------------------------------------------------ v2 reader --
 
 /// SAMT v2 reader. Construction validates header, footer and index
-/// eagerly (classifying damage into TraceCorruptError); block payloads
-/// are read and guard-verified lazily, on the first read that touches
-/// them — a corrupt block only fails the reads whose range covers it.
+/// eagerly (classifying damage into TraceCorruptError); read_all() then
+/// reads and guard-verifies every block, naming the first damaged one.
 class TraceV2Reader {
  public:
   explicit TraceV2Reader(const std::string& path);
@@ -367,11 +361,8 @@ class TraceV2Reader {
     return index_;
   }
 
-  /// Decodes records [begin, end) (clamped to the trace), verifying each
-  /// touched block's guard. Throws TraceCorruptError on damage.
-  [[nodiscard]] std::vector<MicroOp> read_range(std::uint64_t begin,
-                                                std::uint64_t end) const;
-  /// Decodes the whole trace.
+  /// Decodes the whole trace, verifying every block's guard. Throws
+  /// TraceCorruptError on damage.
   [[nodiscard]] Trace read_all() const;
 
  private:

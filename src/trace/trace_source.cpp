@@ -12,9 +12,8 @@ TraceSource TraceSource::generate(const WorkloadProfile& profile,
 
 TraceSource TraceSource::from_trace(Trace t) { return TraceSource(std::move(t)); }
 
-TraceSource TraceSource::open_samt(const std::string& path,
-                                   std::uint64_t begin, std::uint64_t end) {
-  return from_trace(read_samt(path, begin, end));
+TraceSource TraceSource::open_samt(const std::string& path) {
+  return from_trace(read_samt(path));
 }
 
 TraceSource TraceSource::import_text(const std::string& path) {

@@ -25,15 +25,10 @@ class TraceSource {
                                             std::uint64_t n);
   /// Takes ownership of an existing trace.
   [[nodiscard]] static TraceSource from_trace(Trace t);
-  /// Reads records [begin, end) of a SAMT file (v1 or v2, clamped to the
-  /// trace) through read_samt(), which verifies everything it reads.
-  /// Throws TraceFormatError on malformed files and TraceCorruptError on
-  /// damaged ones. A range open is the shard-replay entry point: for v2
-  /// only the covering blocks are decoded, so damage outside the range
-  /// is never touched.
-  [[nodiscard]] static TraceSource open_samt(
-      const std::string& path, std::uint64_t begin = 0,
-      std::uint64_t end = ~std::uint64_t{0});
+  /// Reads a whole SAMT file (v1 or v2) through read_samt(), which
+  /// verifies everything it reads. Throws TraceFormatError on malformed
+  /// files and TraceCorruptError on damaged ones.
+  [[nodiscard]] static TraceSource open_samt(const std::string& path);
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).
   [[nodiscard]] static TraceSource import_text(const std::string& path);
 

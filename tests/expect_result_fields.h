@@ -13,24 +13,17 @@
 
 namespace samie::sim {
 
-inline constexpr std::initializer_list<FieldKind> kAllFieldKinds = {
-    FieldKind::kCounter, FieldKind::kEngineCounter, FieldKind::kMax,
-    FieldKind::kLedger,  FieldKind::kEnergy,        FieldKind::kRatio,
-    FieldKind::kMean,    FieldKind::kArea};
-
 /// Expects every field of `got` whose kind is in `kinds` (default: all)
 /// to equal `want`'s exactly (doubles with ==, no tolerance).
 inline void expect_fields_equal(const SimResult& got, const SimResult& want,
                                 std::initializer_list<FieldKind> kinds =
-                                    kAllFieldKinds,
+                                    {FieldKind::kStatistic,
+                                     FieldKind::kEngineCounter,
+                                     FieldKind::kEnergy},
                                 const std::string& what = "") {
   for (const ResultField& f : result_fields()) {
     if (std::find(kinds.begin(), kinds.end(), f.kind) == kinds.end()) continue;
-    if (std::holds_alternative<std::uint64_t>(f.value(want))) {
-      EXPECT_EQ(f.u64(got), f.u64(want)) << what << ": " << f.name;
-    } else {
-      EXPECT_EQ(f.f64(got), f.f64(want)) << what << ": " << f.name;
-    }
+    EXPECT_EQ(f.value(got), f.value(want)) << what << ": " << f.name;
   }
 }
 

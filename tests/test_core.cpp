@@ -3,7 +3,7 @@
 // width limits, determinism. Traces are built by hand for precise control.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 
 #include "src/branch/predictor.h"
 #include "src/core/core.h"
@@ -79,29 +79,34 @@ class TraceBuilder {
 
 enum class Which { kConventional, kArb, kSamie };
 
-CoreResult run_trace(const Trace& t, Which which = Which::kConventional,
-                     CoreConfig cfg = CoreConfig{},
-                     lsq::SamieConfig samie_cfg = lsq::SamieConfig{}) {
-  std::unique_ptr<lsq::LoadStoreQueue> q;
-  switch (which) {
-    case Which::kConventional:
-      q = std::make_unique<lsq::ConventionalLsq>(lsq::ConventionalLsqConfig{},
-                                                 nullptr);
-      break;
-    case Which::kArb:
-      q = std::make_unique<lsq::ArbLsq>(
-          lsq::ArbConfig{.banks = 8, .rows_per_bank = 16, .max_inflight = 128,
-                         .line_bytes = 32});
-      break;
-    case Which::kSamie:
-      q = std::make_unique<lsq::SamieLsq>(samie_cfg, nullptr);
-      break;
-  }
+/// Runs `t` to completion on a Core bound to the concrete `Queue`,
+/// constructed from `args`.
+template <typename Queue, typename... Args>
+CoreResult run_on(const Trace& t, const CoreConfig& cfg, Args&&... args) {
+  Queue q(std::forward<Args>(args)...);
   mem::MemoryHierarchy memory{mem::HierarchyConfig{}};
   branch::HybridPredictor pred;
   branch::Btb btb;
-  Core c(cfg, t, *q, memory, pred, btb, nullptr, nullptr, nullptr);
+  Core c(cfg, t, q, memory, pred, btb, nullptr, nullptr, nullptr);
   return c.run(t.size());
+}
+
+CoreResult run_trace(const Trace& t, Which which = Which::kConventional,
+                     CoreConfig cfg = CoreConfig{},
+                     lsq::SamieConfig samie_cfg = lsq::SamieConfig{}) {
+  switch (which) {
+    case Which::kConventional:
+      return run_on<lsq::ConventionalLsq>(t, cfg, lsq::ConventionalLsqConfig{},
+                                          nullptr);
+    case Which::kArb:
+      return run_on<lsq::ArbLsq>(
+          t, cfg,
+          lsq::ArbConfig{.banks = 8, .rows_per_bank = 16,
+                         .max_inflight = 128, .line_bytes = 32});
+    case Which::kSamie:
+      return run_on<lsq::SamieLsq>(t, cfg, samie_cfg, nullptr);
+  }
+  return {};
 }
 
 // ----------------------------------------------------------- basic flow ---

@@ -675,6 +675,34 @@ TEST(SimResultWire, SerializedStringIsPinned) {
             "219 220 221 222 223 224 225 226 227");
 }
 
+TEST(SweepFingerprint, IsPinned) {
+  // A checkpoint journal records this hash and resume refuses any other,
+  // so a changed value strands every journal written by older builds.
+  // Every hashed knob is off its default, on a generated job and on a
+  // trace-file job (the path is hashed, never opened).
+  sim::SimConfig gen = sim::paper_config(sim::LsqChoice::kSamie);
+  gen.instructions = 12'345;
+  gen.seed = 7;
+  gen.core.exploit_known_line_latency = true;
+  gen.samie.banks = 32;
+  gen.samie.entries_per_bank = 4;
+  gen.samie.slots_per_entry = 6;
+  gen.samie.shared_entries = 16;
+  gen.samie.addr_buffer_slots = 32;
+  gen.samie.unbounded_shared = true;
+  sim::SimConfig file = sim::paper_config(sim::LsqChoice::kConventional);
+  file.instructions = 4'000;
+  file.trace_path = "traces/gzip.samt";
+  file.paper_energy_constants = false;
+  file.conventional.entries = 64;
+  file.arb.banks = 4;
+  file.arb.rows_per_bank = 16;
+  file.arb.max_inflight = 32;
+  const std::vector<sim::Job> jobs = {sim::Job{"mcf", gen, "32x4"},
+                                      sim::Job{"gzip", file, "conv"}};
+  EXPECT_EQ(sim::sweep_fingerprint(jobs), 0x8D4BE22C093A62C2ULL);
+}
+
 // ------------------------------------------------- trace-damage outcomes --
 //
 // Injected I/O faults (short-read, bit-flip) surface as the structured

@@ -1,9 +1,8 @@
 // Tests for the SAMT binary trace format and the trace-source layer:
 // write→read round-trips are byte-stable, replays through the one SAMT
 // reader are bit-identical to in-memory simulation for every LSQ kind,
-// range opens equal the in-memory subview, malformed files are rejected
-// with clear errors, and the text importer builds traces that satisfy the
-// generator's invariants.
+// malformed files are rejected with clear errors, and the text importer
+// builds traces that satisfy the generator's invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -124,35 +123,6 @@ TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
   const trace::TraceSource src = trace::TraceSource::open_samt(path("e.samt"));
   EXPECT_EQ(src.size(), 0U);
   EXPECT_TRUE(src.view().empty());
-}
-
-TEST_F(TraceIoTest, RangeOpenEqualsInMemorySubviewForBothVersions) {
-  const trace::Trace t = small_trace(3000);
-  trace::write_samt(path("r1.samt"), t, t.name, t.seed);
-  trace::write_samt_v2(path("r2.samt"), t, t.name, t.seed, 512);
-  constexpr std::uint64_t kAll = ~std::uint64_t{0};
-  struct Range {
-    std::uint64_t begin, end;
-  };
-  // Block-straddling, block-aligned, whole, empty, begin > end (clamps
-  // to an empty range at end), end > size and begin > size (clamp).
-  for (const Range r : {Range{700, 1900}, Range{512, 1024}, Range{0, kAll},
-                        Range{5, 5}, Range{2000, 1000}, Range{2500, 9000},
-                        Range{4000, kAll}}) {
-    const std::uint64_t end = std::min<std::uint64_t>(r.end, t.size());
-    const std::uint64_t begin = std::min(r.begin, end);
-    const trace::TraceView want =
-        trace::TraceView(t).subview(begin, end - begin);
-    for (const char* f : {"r1.samt", "r2.samt"}) {
-      SCOPED_TRACE(std::string(f) + " [" + std::to_string(r.begin) + ", " +
-                   std::to_string(r.end) + ")");
-      const trace::TraceSource src =
-          trace::TraceSource::open_samt(path(f), r.begin, r.end);
-      EXPECT_EQ(src.name(), "gcc");
-      EXPECT_EQ(src.seed(), 7U);
-      expect_ops_equal(want, src.view());
-    }
-  }
 }
 
 // -------------------------------------------------------- reject corrupt --

@@ -1,9 +1,10 @@
-// SAMT v2 round-trip, random access, importer atomicity/resume and
+// SAMT v2 round-trip, block-local damage, importer atomicity/resume and
 // injected-I/O-fault behavior (src/trace/trace_io.h). The fuzz matrix
 // for mutated files lives in test_trace_fuzz.cpp; this file covers the
-// *intended* v2 behaviors: exact decode, O(1) range reads off the
-// index, the v1<->v2 converter invariants, resumable atomic import, and
-// the enospc/torn import faults leaving a tmp but never a final file.
+// *intended* v2 behaviors: exact decode, interior damage pinned to its
+// block through the index, the v1<->v2 converter invariants, resumable
+// atomic import, and the enospc/torn import faults leaving a tmp but
+// never a final file.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -94,7 +95,7 @@ TEST_F(TraceV2Test, RoundTripsGeneratedWorkload) {
   const trace::Trace t = r.read_all();
   EXPECT_TRUE(same_ops(t.ops, ops));
   // read_samt_header works on v2 files too (version sniffing for
-  // replay autodetect and the sharder).
+  // replay autodetect).
   EXPECT_EQ(trace::read_samt_header(p).version, trace::kSamtVersion2);
   EXPECT_EQ(trace::read_samt_header(p).count, ops.size());
 }
@@ -119,32 +120,9 @@ TEST_F(TraceV2Test, RoundTripsEmptyTrace) {
   EXPECT_TRUE(trace::trace_health(p).ok());
 }
 
-TEST_F(TraceV2Test, RangeReadsMatchReadAll) {
-  const std::vector<trace::MicroOp> ops = workload(5'000);
-  const std::string p = path("r.samt");
-  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
-                       256);
-  const trace::TraceV2Reader r(p);
-  // Ranges chosen to hit: block-aligned, straddling, single-record,
-  // clamped-past-the-end, inverted and empty.
-  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
-      {0, 5'000}, {0, 256},    {256, 512},    {100, 4'900}, {255, 257},
-      {777, 778}, {4'999, 5'000}, {4'000, 99'999}, {42, 42}, {600, 100}};
-  for (const auto& [b, e] : ranges) {
-    const std::vector<trace::MicroOp> got = r.read_range(b, e);
-    const std::uint64_t lo = std::min<std::uint64_t>(b, ops.size());
-    const std::uint64_t hi =
-        std::max(lo, std::min<std::uint64_t>(e, ops.size()));
-    const std::vector<trace::MicroOp> want(
-        ops.begin() + static_cast<std::ptrdiff_t>(lo),
-        ops.begin() + static_cast<std::ptrdiff_t>(hi));
-    EXPECT_TRUE(same_ops(got, want)) << "range [" << b << ", " << e << ")";
-  }
-}
-
 TEST_F(TraceV2Test, IndexSeeksAreBlockLocal) {
-  // A corrupt interior block must only fail reads whose range touches
-  // it — reads over other blocks keep working off the intact index.
+  // A corrupt interior block leaves the index intact, so the reader opens
+  // and the whole-trace read names exactly the damaged block.
   const std::vector<trace::MicroOp> ops = workload(4'096);
   const std::string p = path("seek.samt");
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
@@ -164,16 +142,13 @@ TEST_F(TraceV2Test, IndexSeeksAreBlockLocal) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   const trace::TraceV2Reader r(p);  // index intact: construction succeeds
-  EXPECT_TRUE(same_ops(r.read_range(0, 5 * 512),
-                       {ops.begin(), ops.begin() + 5 * 512}));
-  EXPECT_TRUE(same_ops(r.read_range(6 * 512, 4'096),
-                       {ops.begin() + 6 * 512, ops.end()}));
   try {
-    (void)r.read_range(5 * 512, 5 * 512 + 1);
+    (void)r.read_all();
     FAIL() << "read over the corrupt block was accepted";
   } catch (const trace::TraceCorruptError& e) {
     EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
     EXPECT_EQ(e.block, 5u);
+    EXPECT_EQ(e.offset, r.index()[5].file_offset);
   }
 }
 

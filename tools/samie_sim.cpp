@@ -67,22 +67,11 @@
 //                        imported text traces to SAMT
 //   --trace-format=V     SAMT version written by --record-trace: v1
 //                        (default; flat record array) or v2
-//                        (block-guarded + indexed; shardable)
+//                        (block-guarded + indexed)
 //   --replay-trace=PATH  replay a recorded .samt file — or every .samt
 //                        in a directory — read and verified into RAM
 //                        (a damaged file ends its job trace-damaged).
 //                        Replays the full trace unless --insts is given
-//   --trace-shards=N     split each replayed v2 trace into N
-//                        block-aligned shard jobs and emit one
-//                        reconciled row per trace (only when every
-//                        shard completed — never a partial row).
-//                        Requires --replay-trace with v2 traces
-//   --shard-warmup=W     warm-up records each shard replays ahead of
-//                        its measured range, excluded from its stats;
-//                        "full" (default) replays the whole prefix —
-//                        the exact mode, where reconciled integer
-//                        stats and energies match the unsharded run
-//                        bit for bit (docs/SWEEP_ROBUSTNESS.md)
 //   --import-trace=PATH  import a plain-text trace file (or directory of
 //                        .txt/.trace files; one op per line) and run it
 //
@@ -114,7 +103,6 @@
 #include "src/sim/result_fields.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_scheduler.h"
-#include "src/sim/trace_shard.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
@@ -243,9 +231,6 @@ int main(int argc, char** argv) {
   bool csv = false;
   bool insts_given = false;
   bool record_v2 = false;
-  std::uint64_t trace_shards = 0;
-  std::uint64_t shard_warmup = UINT64_MAX;  // "full": the exact mode
-  bool shard_warmup_given = false;
   std::string record_dir;
   std::string replay_path;
   std::string import_path;
@@ -274,15 +259,6 @@ int main(int argc, char** argv) {
       if (fmt == "v1") record_v2 = false;
       else if (fmt == "v2") record_v2 = true;
       else usage_error("unknown --trace-format '" + fmt + "' (v1 or v2)");
-    } else if (parse_u64(arg, "--trace-shards", v)) {
-      if (v == 0) usage_error("--trace-shards must be at least 1");
-      trace_shards = v;
-    } else if (arg == "--shard-warmup=full") {
-      shard_warmup = UINT64_MAX;
-      shard_warmup_given = true;
-    } else if (parse_u64(arg, "--shard-warmup", v)) {
-      shard_warmup = v;
-      shard_warmup_given = true;
     } else if (parse_u64(arg, "--retries", v)) {
       if (v == 0) usage_error("--retries must be at least 1");
       sweep.retry.max_attempts = static_cast<std::uint32_t>(v);
@@ -368,12 +344,6 @@ int main(int argc, char** argv) {
   if (sweep.isolate_procs != 0 && !import_path.empty()) {
     usage_error("--isolate applies to sweep modes, not --import-trace");
   }
-  if (trace_shards != 0 && replay_path.empty()) {
-    usage_error("--trace-shards requires --replay-trace (v2 traces)");
-  }
-  if (shard_warmup_given && trace_shards == 0) {
-    usage_error("--shard-warmup requires --trace-shards");
-  }
   if (record_v2 && record_dir.empty()) {
     usage_error("--trace-format applies to --record-trace");
   }
@@ -387,14 +357,6 @@ int main(int argc, char** argv) {
   std::vector<sim::JobResult> results;
   sim::SweepReport report;
   bool ran_sweep = false;
-  /// Sharded replay bookkeeping: one group per replayed trace, covering
-  /// `count` consecutive shard jobs starting at job index `begin`.
-  struct ShardGroup {
-    sim::Job base;
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
-  std::vector<ShardGroup> shard_groups;
   const std::string tag = sim::lsq_choice_name(cfg.lsq);
 
   try {
@@ -415,21 +377,7 @@ int main(int argc, char** argv) {
       job.config.trace_path = file;
       if (!insts_given) job.config.instructions = header.count;
       job.tag = tag;
-      if (trace_shards != 0) {
-        // Block-aligned shard jobs; the reconciled row is assembled
-        // after the sweep, and only when every shard completed.
-        ShardGroup g;
-        g.base = job;
-        g.begin = jobs.size();
-        for (auto& sj : sim::make_trace_shard_jobs(
-                 job, static_cast<std::uint32_t>(trace_shards), shard_warmup)) {
-          jobs.push_back(std::move(sj.job));
-        }
-        g.count = jobs.size() - g.begin;
-        shard_groups.push_back(std::move(g));
-      } else {
-        jobs.push_back(std::move(job));
-      }
+      jobs.push_back(std::move(job));
     }
     report = sim::run_sweep(jobs, sweep);
     ran_sweep = true;
@@ -517,32 +465,11 @@ int main(int argc, char** argv) {
   }
 
   if (ran_sweep) {
-    if (!shard_groups.empty()) {
-      // Sharded replay: per-shard rows are internal. Emit one
-      // reconciled row per trace, and only when every one of its
-      // shards completed — a trace with a damaged/failed shard gets
-      // no row at all, never a partial one.
-      for (const ShardGroup& g : shard_groups) {
-        std::vector<sim::SimResult> parts;
-        parts.reserve(g.count);
-        bool all = g.count != 0;
-        for (std::size_t i = 0; i < g.count && all; ++i) {
-          const sim::SweepJobResult& jr = report.jobs[g.begin + i];
-          if (jr.completed()) parts.push_back(jr.result);
-          else all = false;
-        }
-        if (all) {
-          results.push_back(sim::JobResult{
-              g.base, sim::merge_shard_results(parts, g.base.config)});
-        }
-      }
-    } else {
-      // Completed jobs only, in job order: a failed/timed-out/skipped
-      // job never fabricates an output row.
-      for (sim::SweepJobResult& jr : report.jobs) {
-        if (jr.completed()) {
-          results.push_back(sim::JobResult{std::move(jr.job), jr.result});
-        }
+    // Completed jobs only, in job order: a failed/timed-out/skipped job
+    // never fabricates an output row.
+    for (sim::SweepJobResult& jr : report.jobs) {
+      if (jr.completed()) {
+        results.push_back(sim::JobResult{std::move(jr.job), jr.result});
       }
     }
     if (!report.all_completed() || report.resumed != 0 ||

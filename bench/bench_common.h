@@ -55,7 +55,7 @@ inline const std::map<std::string, double>& fig6_deadlocks_approx() {
 
 inline void print_header(const std::string& what) {
   std::cout << "\n=== SAMIE-LSQ reproduction: " << what << " ===\n"
-            << "(paper: Abella & Gonzalez, IPDPS 2006; see EXPERIMENTS.md)\n\n";
+            << "(paper: Abella & Gonzalez, IPDPS 2006; see perfbench/README.md)\n\n";
 }
 
 inline void print_footnote(std::uint64_t insts) {

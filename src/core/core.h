@@ -14,7 +14,7 @@
 // the per-memory-op hot path and inlines the once-per-cycle occupancy
 // hook, leaving the steady-state cycle loop with zero virtual dispatch.
 // CTAD picks the queue type from the LSQ argument, and a nullptr
-// observer selects the CycleObserver default, so
+// observer selects the NoObserver default, so
 // `Core c(cfg, trace, queue, ..., nullptr)` binds the concrete queue.
 //
 // In-flight state is laid out for the access pattern, not the object
@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -39,9 +40,9 @@
 #include "src/common/calendar_wheel.h"
 #include "src/common/ring_deque.h"
 #include "src/common/seq_set.h"
+#include "src/common/sparse_memory.h"
 #include "src/core/dep_slab.h"
 #include "src/core/fu_pool.h"
-#include "src/core/main_memory.h"
 #include "src/energy/ledger.h"
 #include "src/lsq/lsq_interface.h"
 #include "src/mem/hierarchy.h"
@@ -120,23 +121,15 @@ struct CoreConfig {
 };
 
 /// Per-cycle hook for occupancy sampling (area integration, Figures 3/4).
-/// This is the *type-erased* observer: Core is templated over the
-/// observer type, so a concrete non-virtual class (the simulator's
-/// StatsCollector) gets its on_cycle inlined into the cycle loop; this
-/// interface exists for call sites that need a runtime-chosen observer.
-class CycleObserver {
- public:
-  virtual ~CycleObserver() = default;
-  virtual void on_cycle(Cycle cycle, const lsq::OccupancySample& occ) = 0;
-  /// Batched form used by the fast-forward: `count` consecutive cycles
-  /// starting at `first`, all with the same occupancy (nothing ran, so
-  /// nothing could change it). The default replays the per-cycle hook so
-  /// any observer stays bit-identical; run-length collectors (the
-  /// simulator's StatsCollector) override with a counter bump.
-  virtual void on_cycles(Cycle first, std::uint64_t count,
-                         const lsq::OccupancySample& occ) {
-    for (std::uint64_t i = 0; i < count; ++i) on_cycle(first + i, occ);
-  }
+/// An observer type (the simulator's StatsCollector, inlined into the
+/// cycle loop) provides on_cycle and on_cycles: the batched form the
+/// fast-forward uses for `count` consecutive cycles from `first`, all with
+/// the same occupancy (nothing ran, so nothing could change it).
+/// NoObserver is the type a nullptr observer selects.
+struct NoObserver {
+  void on_cycle(Cycle /*cycle*/, const lsq::OccupancySample& /*occ*/) {}
+  void on_cycles(Cycle /*first*/, std::uint64_t /*count*/,
+                 const lsq::OccupancySample& /*occ*/) {}
 };
 
 /// Aggregate outcome of a simulation run.
@@ -255,7 +248,18 @@ class SlotStatus {
   std::uint32_t w_ = 0;
 };
 
-template <typename LsqT, typename ObserverT = CycleObserver>
+/// A queue Core can run: the LoadStoreQueue interface plus the two
+/// statically bound engine hooks — the drain-work predicate behind the
+/// wake ledger's kWakeLsq bit, and the epoch that gates the per-cycle
+/// occupancy sample. Every queue in src/lsq provides both.
+template <typename Q>
+concept CoreQueue =
+    std::derived_from<Q, lsq::LoadStoreQueue> && requires(const Q& q) {
+      { q.has_pending_work() } -> std::same_as<bool>;
+      { q.occupancy_epoch() } -> std::same_as<std::uint64_t>;
+    };
+
+template <CoreQueue LsqT, typename ObserverT = NoObserver>
 class Core final : private lsq::PresentBitClearer {
  public:
   /// `trace` is a borrowed view: the backing storage (an owned Trace, a
@@ -369,7 +373,7 @@ class Core final : private lsq::PresentBitClearer {
   enum WakeBit : std::uint32_t {
     kWakeCommitHead = 1U << 0,  ///< head completed or §3.3 flush pending
     kWakeReady = 1U << 1,       ///< some ready queue is non-empty
-    kWakeLsq = 1U << 2,         ///< lsq_has_pending_work()
+    kWakeLsq = 1U << 2,         ///< lsq_.has_pending_work()
     kWakeDispatch = 1U << 3,    ///< fetch queue head passes resource checks
     kWakeFetch = 1U << 4,       ///< fetch could act at the checked cycle
   };
@@ -445,33 +449,18 @@ class Core final : private lsq::PresentBitClearer {
   /// itself breaks on this same predicate, so the quiescence ledger and
   /// the stage agree by construction.
   [[nodiscard]] bool dispatch_blocked() const;
-  /// Drain-work hook, statically bound for concrete queues; the
-  /// type-erased LoadStoreQueue has no hook and conservatively reports
-  /// pending work (the type-erased core simply never fast-forwards).
-  [[nodiscard]] bool lsq_has_pending_work() const {
-    if constexpr (requires(const LsqT& q) { q.has_pending_work(); }) {
-      return lsq_.has_pending_work();
-    } else {
-      return true;
-    }
-  }
   /// The once-per-cycle occupancy sample, cached behind the LSQ's
   /// occupancy epoch: most stepped cycles change nothing the sample
   /// reads (the run-length StatsCollector would compare-and-fold it
   /// anyway), so the rebuild happens only when a placement, free,
   /// buffer move or dispatch actually moved a counter.
   [[nodiscard]] const lsq::OccupancySample& sampled_occupancy() {
-    if constexpr (requires(const LsqT& q) { q.occupancy_epoch(); }) {
-      const std::uint64_t e = lsq_.occupancy_epoch();
-      if (e != occ_epoch_seen_) {
-        occ_cache_ = lsq_.occupancy();
-        occ_epoch_seen_ = e;
-      }
-      return occ_cache_;
-    } else {
+    const std::uint64_t e = lsq_.occupancy_epoch();
+    if (e != occ_epoch_seen_) {
       occ_cache_ = lsq_.occupancy();
-      return occ_cache_;
+      occ_epoch_seen_ = e;
     }
+    return occ_cache_;
   }
   // -- wake-ledger maintenance (see core_impl.h for the proof) ---------------
   void wake_set(std::uint32_t bit) noexcept { wake_ledger_ |= bit; }
@@ -512,7 +501,7 @@ class Core final : private lsq::PresentBitClearer {
   energy::DcacheLedger* dcache_ledger_;
   energy::DtlbLedger* dtlb_ledger_;
   ObserverT* observer_;
-  MainMemory memory_state_;
+  SparseMemory memory_;  ///< committed memory: stores write, loads read
 
   // Pipeline state.
   Cycle cycle_ = 0;
@@ -589,8 +578,7 @@ class Core final : private lsq::PresentBitClearer {
   std::uint32_t agens_outstanding_ = 0;
 
   // Per-cycle occupancy sampling cache: rebuilt only when the LSQ's
-  // occupancy_epoch() moved (type-erased queues have no epoch hook and
-  // rebuild every cycle, as before).
+  // occupancy_epoch() moved.
   lsq::OccupancySample occ_cache_;
   std::uint64_t occ_epoch_seen_ = ~0ULL;
 
@@ -600,11 +588,11 @@ class Core final : private lsq::PresentBitClearer {
 };
 
 /// A literal nullptr observer cannot deduce ObserverT; it means "no
-/// observer", which the type-erased default expresses.
-template <typename LsqT>
+/// observer", which the NoObserver default expresses.
+template <CoreQueue LsqT>
 Core(const CoreConfig&, trace::TraceView, LsqT&, mem::MemoryHierarchy&,
      branch::HybridPredictor&, branch::Btb&, energy::DcacheLedger*,
-     energy::DtlbLedger*, std::nullptr_t) -> Core<LsqT, CycleObserver>;
+     energy::DtlbLedger*, std::nullptr_t) -> Core<LsqT, NoObserver>;
 
 }  // namespace samie::core
 

@@ -1,7 +1,7 @@
 // Template member definitions for core::Core<LsqT> (included by core.h).
 // Keep this file free of non-template code; shared helpers live in the
 // anonymous-namespace-free `detail` namespace so every instantiation
-// (type-erased and devirtualized) compiles from one source of truth.
+// compiles from one source of truth.
 //
 // Wake-ledger maintenance (the incremental quiescence check). Each
 // WakeBit mirrors one clause of `quiescent()`'s negation; the post-cycle
@@ -62,7 +62,7 @@ namespace detail {
 
 }  // namespace detail
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceView trace, LsqT& lsq,
                  mem::MemoryHierarchy& memory,
                  branch::HybridPredictor& predictor, branch::Btb& btb,
@@ -90,14 +90,6 @@ Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceView trace, LsqT&
       int_muldiv_(cfg.n_int_muldiv),
       fp_muldiv_(cfg.n_fp_muldiv) {
   lsq_.set_present_bit_clearer(this);
-  if constexpr (!requires(const LsqT& q) { q.has_pending_work(); }) {
-    // Type-erased queue: lsq_has_pending_work() is conservatively true,
-    // so the legacy predicate never reports quiescence. Pin the ledger
-    // bit for the same conservatism — every re-derivation re-asserts it
-    // — and the word test, the cross-check and the stage gates agree:
-    // the type-erased core simply never skips anything.
-    wake_set(kWakeLsq);
-  }
   if (std::has_single_bit(static_cast<std::uint64_t>(cfg.rob_size))) {
     rob_mask_ = cfg.rob_size - 1;
   }
@@ -112,25 +104,25 @@ Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceView trace, LsqT&
   issue_batch_.reserve(cfg.rob_size);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::clear_present_bit(std::uint32_t set, std::uint32_t way) {
   mem_.l1d().set_present_bit(set, way, false);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 std::uint64_t Core<LsqT, ObserverT>::forwarded_value(const trace::MicroOp& load,
                                           const trace::MicroOp& store) const {
   const std::uint64_t shift = (load.mem_addr - store.mem_addr) * 8;
   return (store.value >> shift) & detail::value_mask(load.mem_size);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::schedule_completion(InstSeq seq, Cycle at) {
   completions_.schedule(cycle_, at,
                         CompletionRef{seq, rob_token_[rob_index(seq)].gen});
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::wake_dependents(std::size_t idx) {
   if (dep_slab_.empty(rob_lists_[idx].dependents)) return;
   // Detach-then-iterate: the chain is stolen from the slot before the
@@ -185,12 +177,12 @@ void Core<LsqT, ObserverT>::wake_dependents(std::size_t idx) {
   dep_slab_.free(deps);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 bool Core<LsqT, ObserverT>::load_ordering_clear(InstSeq seq) const {
   return unplaced_stores_.empty() || unplaced_stores_.min() > seq;
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::try_schedule_load(InstSeq seq) {
   if (!live(seq)) return;
   SlotStatus& f = status_of(seq);
@@ -227,7 +219,7 @@ void Core<LsqT, ObserverT>::try_schedule_load(InstSeq seq) {
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::on_store_placed(InstSeq seq) {
   SlotStatus& f = status_of(seq);
   f.set(SlotStatus::kPlaced);
@@ -257,7 +249,7 @@ void Core<LsqT, ObserverT>::on_store_placed(InstSeq seq) {
   for (InstSeq l : eligible_scratch_) try_schedule_load(l);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::on_agen_complete(InstSeq seq) {
   const std::size_t idx = rob_index(seq);
   SlotStatus& f = rob_status_[idx];
@@ -298,20 +290,20 @@ void Core<LsqT, ObserverT>::on_agen_complete(InstSeq seq) {
   // placement headroom, which can make the §3.3 predicate true for a
   // head that is still waiting to compute its address.
   if (p.status == lsq::Placement::Status::kBuffered) {
-    wake_assign(kWakeLsq, lsq_has_pending_work());
+    wake_assign(kWakeLsq, lsq_.has_pending_work());
     wake_assign(kWakeCommitHead, commit_head_actionable());
   } else if (seq == head_) {
     wake_assign(kWakeCommitHead, commit_head_actionable());
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::handle_eviction(bool evicted, std::uint32_t set,
                                  bool had_present_bit) {
   if (evicted && had_present_bit) lsq_.on_cache_line_replaced(set);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::execute_load_access(InstSeq seq) {
   const std::size_t idx = rob_index(seq);
   SlotStatus& f = rob_status_[idx];
@@ -356,12 +348,12 @@ void Core<LsqT, ObserverT>::execute_load_access(InstSeq seq) {
     }
     handle_eviction(a.evicted, a.evicted_set, a.evicted_present_bit);
   }
-  rob_cold_[idx].load_value = memory_state_.read(addr, op.mem_size);
+  rob_cold_[idx].load_value = memory_.read(addr, op.mem_size);
   ++res_.loads_executed;
   schedule_completion(seq, cycle_ + lat);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::complete(InstSeq seq) {
   const std::size_t idx = rob_index(seq);
   SlotStatus& f = rob_status_[idx];
@@ -385,7 +377,7 @@ void Core<LsqT, ObserverT>::complete(InstSeq seq) {
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::writeback_stage() {
   completions_.pop_due(cycle_, [this](const CompletionRef& c) {
     const std::size_t idx = rob_index(c.seq);
@@ -403,7 +395,7 @@ void Core<LsqT, ObserverT>::writeback_stage() {
   });
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::memory_stage() {
   // The drain hook's own contract makes the skip exact: pending work
   // false means the buffer is empty (SAMIE, conventional) or the retry
@@ -411,7 +403,7 @@ void Core<LsqT, ObserverT>::memory_stage() {
   // cases drain() would mutate nothing and charge nothing, so not
   // calling it is bit-identical and saves the provably-failing retry
   // the always-walk loop used to pay every stepped cycle.
-  if (!lsq_has_pending_work()) {
+  if (!lsq_.has_pending_work()) {
     // Every pending-work transition to false re-derives the bit at its
     // site, so it must already be clear here.
     assert((wake_ledger_ & kWakeLsq) == 0);
@@ -436,14 +428,14 @@ void Core<LsqT, ObserverT>::memory_stage() {
   // successful placement can also flip the head's §3.3 predicate —
   // directly, or through the AddrBuffer headroom it freed.
   if ((wake_ledger_ & kWakeLsq) != 0) {
-    wake_assign(kWakeLsq, lsq_has_pending_work());
+    wake_assign(kWakeLsq, lsq_.has_pending_work());
     if (!drain_scratch_.empty()) {
       wake_assign(kWakeCommitHead, commit_head_actionable());
     }
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::issue_stage() {
   // Loads cleared for memory access contend for the remaining cache ports.
   while (!ready_mem_.empty()) {
@@ -577,7 +569,7 @@ void Core<LsqT, ObserverT>::issue_stage() {
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::dispatch_stage() {
   const bool rob_was_empty = head_ == tail_;
   std::uint32_t n = 0;
@@ -679,7 +671,7 @@ void Core<LsqT, ObserverT>::dispatch_stage() {
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::fetch_stage() {
   const bool was_empty = fetch_queue_.empty();
   if (cycle_ >= fetch_stall_until_) {
@@ -746,7 +738,7 @@ void Core<LsqT, ObserverT>::fetch_stage() {
   }
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::squash_after(InstSeq last_kept) {
   const InstSeq first_bad = last_kept + 1;
   if (first_bad >= tail_) {
@@ -805,11 +797,11 @@ void Core<LsqT, ObserverT>::squash_after(InstSeq last_kept) {
 
   // Ledger: the LSQ squash dropped deferred work (and can raise the
   // AddrBuffer headroom, flipping the head's §3.3 predicate).
-  wake_assign(kWakeLsq, lsq_has_pending_work());
+  wake_assign(kWakeLsq, lsq_.has_pending_work());
   wake_assign(kWakeCommitHead, commit_head_actionable());
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::full_flush() {
   ++res_.deadlock_flushes;
   lsq_.squash_from(head_);
@@ -853,10 +845,10 @@ void Core<LsqT, ObserverT>::full_flush() {
   // issue_stage), nothing is in flight, and the LSQ was squashed empty.
   wake_assign(kWakeReady, false);
   wake_assign(kWakeCommitHead, false);
-  wake_assign(kWakeLsq, lsq_has_pending_work());
+  wake_assign(kWakeLsq, lsq_.has_pending_work());
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::commit_stage() {
   // Wake-ledger bookkeeping: every exit path below decides the commit
   // clause from state it already examined, so the §3.3 predicate is
@@ -919,7 +911,7 @@ void Core<LsqT, ObserverT>::commit_stage() {
         }
         handle_eviction(a.evicted, a.evicted_set, a.evicted_present_bit);
       }
-      memory_state_.write(addr, op.mem_size, op.value);
+      memory_.write(addr, op.mem_size, op.value);
       ++res_.stores_committed;
       committed_any = true;
       SlotLists& hl = rob_lists_[idx];
@@ -961,7 +953,7 @@ void Core<LsqT, ObserverT>::commit_stage() {
               head_clause_known ? head_clause : commit_head_actionable());
   // on_commit can unblock the ARB retry FIFO; without one the stage
   // never touched the LSQ and the bit stands.
-  if (committed_any) wake_assign(kWakeLsq, lsq_has_pending_work());
+  if (committed_any) wake_assign(kWakeLsq, lsq_.has_pending_work());
 }
 
 // The from-scratch quiescence predicate: proves no stage can change
@@ -988,11 +980,11 @@ void Core<LsqT, ObserverT>::commit_stage() {
 // The cycle loop tests the incremental wake_ledger_ word instead of
 // calling this; CoreConfig::check_quiescence asserts the two agree after
 // every stepped cycle.
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 bool Core<LsqT, ObserverT>::quiescent() const {
   if (commit_head_actionable()) return false;
   if (any_ready_queue()) return false;
-  if (lsq_has_pending_work()) return false;
+  if (lsq_.has_pending_work()) return false;
   if (!fetch_queue_.empty() && !dispatch_blocked()) return false;
   const bool fetch_able = fetch_queue_.size() < cfg_.fetch_queue &&
                           fetch_seq_ < trace_.size();
@@ -1000,7 +992,7 @@ bool Core<LsqT, ObserverT>::quiescent() const {
   return true;
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 bool Core<LsqT, ObserverT>::dispatch_blocked() const {
   // Decode facts ride in the fetch ring (see Fetched): the head-of-queue
   // resource checks never touch the trace record.
@@ -1016,7 +1008,7 @@ bool Core<LsqT, ObserverT>::dispatch_blocked() const {
   return fr.mem && !lsq_.can_dispatch(fr.load);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 Cycle Core<LsqT, ObserverT>::wake_horizon() const {
   // Wake sources. The fetch stall participates only when fetch could act
   // once it lifts; the hierarchy hook is constant kNeverCycle for the
@@ -1032,7 +1024,7 @@ Cycle Core<LsqT, ObserverT>::wake_horizon() const {
   return std::min(wake, last_commit_cycle_ + cfg_.commit_timeout + 1);
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::try_fast_forward() {
   if (wake_ledger_ != 0) return;
   const Cycle wake = wake_horizon();
@@ -1050,7 +1042,7 @@ void Core<LsqT, ObserverT>::try_fast_forward() {
   cycle_ = wake;
 }
 
-template <typename LsqT, typename ObserverT>
+template <CoreQueue LsqT, typename ObserverT>
 CoreResult Core<LsqT, ObserverT>::run(std::uint64_t max_insts) {
   const std::uint64_t target = std::min<std::uint64_t>(max_insts, trace_.size());
   last_commit_cycle_ = 0;

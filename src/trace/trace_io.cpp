@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/sparse_memory.h"
+
 namespace samie::trace {
 
 namespace {
@@ -971,29 +973,6 @@ TraceHealth trace_health(const std::string& path) {
 
 namespace {
 
-/// Oracle memory for the importer: program-order byte store, same
-/// semantics as WorkloadGenerator's page map.
-class OracleMemory {
- public:
-  void store(Addr addr, std::uint32_t bytes, std::uint64_t value) {
-    for (std::uint32_t i = 0; i < bytes; ++i) {
-      bytes_[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
-    }
-  }
-  [[nodiscard]] std::uint64_t load(Addr addr, std::uint32_t bytes) const {
-    std::uint64_t v = 0;
-    for (std::uint32_t i = 0; i < bytes; ++i) {
-      const auto it = bytes_.find(addr + i);
-      const std::uint8_t b = it == bytes_.end() ? 0 : it->second;
-      v |= static_cast<std::uint64_t>(b) << (8 * i);
-    }
-    return v;
-  }
-
- private:
-  std::unordered_map<Addr, std::uint8_t> bytes_;
-};
-
 [[nodiscard]] bool parse_op_class(const std::string& tok, OpClass& out) {
   for (const OpClass c :
        {OpClass::kIntAlu, OpClass::kIntMul, OpClass::kIntDiv, OpClass::kFpAlu,
@@ -1034,12 +1013,19 @@ class OracleMemory {
 
 }  // namespace
 
+std::string bad_access_message(Addr addr, std::uint64_t bytes) {
+  std::ostringstream os;
+  os << bytes << "-byte access at 0x" << std::hex << addr
+     << ": size must be 4 or 8 and the address size-aligned";
+  return os.str();
+}
+
 Trace import_text_trace_from_string(const std::string& text,
                                     const std::string& origin) {
   Trace t;
   t.name = origin;
   t.seed = 0;
-  OracleMemory oracle;
+  SparseMemory oracle;
   Addr pc = 0x00400000;
   std::uint32_t next_int_dst = 0;
   std::uint32_t next_fp_dst = 0;
@@ -1087,15 +1073,8 @@ Trace import_text_trace_from_string(const std::string& text,
     if (is_mem(cls)) {
       op.mem_addr = number_at(f++, "an address");
       const std::uint64_t size = number_at(f++, "an access size");
-      if (size != 4 && size != 8) {
-        throw bad("access size must be 4 or 8, got " + std::to_string(size));
-      }
-      if (op.mem_addr % size != 0) {
-        throw bad("address 0x" + [&] {
-          std::ostringstream os;
-          os << std::hex << op.mem_addr;
-          return os.str();
-        }() + " is not " + std::to_string(size) + "-byte aligned");
+      if (!mem_access_ok(op.mem_addr, size)) {
+        throw bad(bad_access_message(op.mem_addr, size));
       }
       op.mem_size = static_cast<std::uint8_t>(size);
     } else if (cls == OpClass::kBranch) {
@@ -1136,9 +1115,9 @@ Trace import_text_trace_from_string(const std::string& text,
     // program-order-correct value (so the core's value check still runs).
     if (cls == OpClass::kStore) {
       op.value = 0x9E3779B97F4A7C15ULL * ++store_counter;
-      oracle.store(op.mem_addr, op.mem_size, op.value);
+      oracle.write(op.mem_addr, op.mem_size, op.value);
     } else if (cls == OpClass::kLoad) {
-      op.value = oracle.load(op.mem_addr, op.mem_size);
+      op.value = oracle.read(op.mem_addr, op.mem_size);
     }
 
     t.ops.push_back(op);

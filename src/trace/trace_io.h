@@ -372,6 +372,10 @@ class TraceV2Reader {
   IoFault fault_{};  ///< armed fault consumed at open, applied on reads
 };
 
+/// Why a load or store breaks mem_access_ok (src/common/sparse_memory.h),
+/// which the importer and TraceSource::open_samt enforce on every one.
+[[nodiscard]] std::string bad_access_message(Addr addr, std::uint64_t bytes);
+
 /// Imports a plain-text trace (one op per line: class, addr, size, dep
 /// distances — grammar in docs/TRACE_FORMAT.md). PCs, registers and
 /// oracle load values are synthesized so the imported trace satisfies the

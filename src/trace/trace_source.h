@@ -27,7 +27,8 @@ class TraceSource {
   [[nodiscard]] static TraceSource from_trace(Trace t);
   /// Reads a whole SAMT file (v1 or v2) through read_samt(), which
   /// verifies everything it reads. Throws TraceFormatError on malformed
-  /// files and TraceCorruptError on damaged ones.
+  /// files and TraceCorruptError on damaged ones; std::invalid_argument
+  /// names the first load or store that breaks mem_access_ok.
   [[nodiscard]] static TraceSource open_samt(const std::string& path);
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).
   [[nodiscard]] static TraceSource import_text(const std::string& path);

@@ -1,15 +1,11 @@
 #include "src/trace/workload.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace samie::trace {
 
-namespace {
-constexpr Addr kPageMask = ~0xFFFULL;
 constexpr std::uint32_t kLineBytes = 32;
-constexpr std::size_t kRecentRing = 64;
-}  // namespace
 
 const char* op_class_name(OpClass op) noexcept {
   switch (op) {
@@ -32,45 +28,25 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
     : profile_(profile), rng_(derive_seed(seed, 0x7ace)) {
   streams_.resize(profile_.streams.size());
   double total = 0.0;
-  for (const auto& s : profile_.streams) total += s.weight;
+  for (const auto& s : profile_.streams) {
+    if (!mem_access_ok(0, s.access_bytes)) {
+      throw std::invalid_argument(profile_.name +
+                                  ": access_bytes must be 4 or 8");
+    }
+    total += s.weight;
+  }
   double acc = 0.0;
   for (const auto& s : profile_.streams) {
     acc += s.weight / (total > 0.0 ? total : 1.0);
     stream_cdf_.push_back(acc);
   }
-  recent_int_.assign(kRecentRing, RegId{1});
-  recent_fp_.assign(kRecentRing, RegId{kNumIntRegs});
+  recent_int_.regs.fill(RegId{1});
+  recent_fp_.regs.fill(RegId{kNumIntRegs});
   // Decorrelate stream starting points.
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     streams_[i].cursor_line = rng_.below(
         std::max<std::uint64_t>(1, profile_.streams[i].footprint_lines));
   }
-}
-
-std::vector<std::uint8_t>& WorkloadGenerator::page_for(Addr addr) {
-  const Addr base = addr & kPageMask;
-  auto [it, inserted] = pages_.try_emplace(base);
-  if (inserted) it->second.assign(4096, 0);
-  return it->second;
-}
-
-void WorkloadGenerator::oracle_store(Addr addr, std::uint32_t bytes,
-                                     std::uint64_t value) {
-  auto& page = page_for(addr);
-  const std::size_t off = static_cast<std::size_t>(addr & 0xFFFULL);
-  for (std::uint32_t i = 0; i < bytes; ++i) {
-    page[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-std::uint64_t WorkloadGenerator::oracle_load(Addr addr, std::uint32_t bytes) {
-  auto& page = page_for(addr);
-  const std::size_t off = static_cast<std::size_t>(addr & 0xFFFULL);
-  std::uint64_t v = 0;
-  for (std::uint32_t i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(page[off + i]) << (8 * i);
-  }
-  return v;
 }
 
 Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t bytes) {
@@ -104,19 +80,14 @@ Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t byte
 }
 
 RegId WorkloadGenerator::pick_source(bool fp) {
-  auto& ring = fp ? recent_fp_ : recent_int_;
-  const std::uint64_t dist = rng_.geometric(profile_.dep_mean);
-  const std::size_t idx = (dist - 1) % ring.size();
-  return ring[idx];
+  return (fp ? recent_fp_ : recent_int_).nth(rng_.geometric(profile_.dep_mean));
 }
 
 RegId WorkloadGenerator::pick_dest(bool fp) {
   // Avoid register 0 (hardwired zero in most ISAs) for realism.
   const RegId base = fp ? static_cast<RegId>(kNumIntRegs) : RegId{0};
   const RegId r = static_cast<RegId>(base + 1 + rng_.below(kNumIntRegs - 1));
-  auto& ring = fp ? recent_fp_ : recent_int_;
-  ring.pop_back();
-  ring.insert(ring.begin(), r);
+  (fp ? recent_fp_ : recent_int_).push(r);
   return r;
 }
 
@@ -173,12 +144,12 @@ MicroOp WorkloadGenerator::next_op() {
     if (is_load) {
       op.op = OpClass::kLoad;
       op.dst = pick_dest(false);
-      op.value = oracle_load(addr, bytes);
+      op.value = oracle_.read(addr, bytes);
     } else {
       op.op = OpClass::kStore;
       op.src2 = pick_source(false);  // data register
       op.value = rng_();
-      oracle_store(addr, bytes, op.value);
+      oracle_.write(addr, bytes, op.value);
     }
   } else if (roll < mem_frac + profile_.branch_frac) {
     // Data-dependent branch (entropy) or a forward, mostly-not-taken one.

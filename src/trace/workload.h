@@ -20,12 +20,13 @@
 // ILP is tunable per program.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/sparse_memory.h"
 #include "src/common/types.h"
 #include "src/trace/instruction.h"
 
@@ -84,10 +85,10 @@ struct WorkloadProfile {
   std::vector<StreamComponent> streams;
 };
 
-/// Deterministic trace generator. Not copyable while generating; cheap to
-/// construct per (profile, seed).
+/// Deterministic trace generator; cheap to construct per (profile, seed).
 class WorkloadGenerator {
  public:
+  /// Throws std::invalid_argument if a stream's access_bytes is not 4 or 8.
   WorkloadGenerator(const WorkloadProfile& profile, std::uint64_t seed);
 
   /// Generates `n` instructions. The returned trace embeds oracle values:
@@ -105,8 +106,6 @@ class WorkloadGenerator {
   [[nodiscard]] Addr next_mem_addr(std::size_t stream_idx, std::uint32_t bytes);
   [[nodiscard]] RegId pick_source(bool fp);
   [[nodiscard]] RegId pick_dest(bool fp);
-  void oracle_store(Addr addr, std::uint32_t bytes, std::uint64_t value);
-  [[nodiscard]] std::uint64_t oracle_load(Addr addr, std::uint32_t bytes);
 
   const WorkloadProfile profile_;
   Xoshiro256 rng_;
@@ -120,13 +119,24 @@ class WorkloadGenerator {
   std::uint64_t loop_iters_left_ = 0;
   std::uint64_t loop_body_len_ = 0;
 
-  // Recent destination registers, for dependency-distance sampling.
-  std::vector<RegId> recent_int_;
-  std::vector<RegId> recent_fp_;
+  /// The last 64 destination registers of one class, for
+  /// dependency-distance sampling: nth(1) is the newest.
+  struct RecentRegs {
+    std::array<RegId, 64> regs{};
+    std::size_t newest = 0;
+    [[nodiscard]] RegId nth(std::uint64_t dist) const {
+      return regs[(newest + dist - 1) % regs.size()];
+    }
+    void push(RegId r) {
+      newest = (newest + regs.size() - 1) % regs.size();
+      regs[newest] = r;
+    }
+  };
+  RecentRegs recent_int_;
+  RecentRegs recent_fp_;
 
-  // Oracle memory: 4KB pages of bytes, program-order semantics.
-  std::unordered_map<Addr, std::vector<std::uint8_t>> pages_;
-  [[nodiscard]] std::vector<std::uint8_t>& page_for(Addr addr);
+  /// Oracle memory in program order: loads read what earlier stores wrote.
+  SparseMemory oracle_;
 };
 
 /// Region base addresses handed to streams, spaced far apart so streams

@@ -1,14 +1,17 @@
 // Unit tests for src/common: RNG determinism and distributions,
-// FixedVector semantics, statistics primitives, table rendering.
+// FixedVector semantics, SparseMemory against a byte model, statistics
+// primitives, table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "src/common/fixed_vector.h"
 #include "src/common/rng.h"
+#include "src/common/sparse_memory.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/types.h"
@@ -243,6 +246,76 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::pct(-1.5, 1), "-1.5%");
   EXPECT_EQ(Table::pct(2.0, 1), "+2.0%");
+}
+
+// -------------------------------------------------------- SparseMemory ---
+TEST(SparseMemory, AccessRule) {
+  EXPECT_TRUE(mem_access_ok(0x1000, 8));
+  EXPECT_TRUE(mem_access_ok(0x1004, 4));
+  EXPECT_FALSE(mem_access_ok(0x1004, 8));
+  EXPECT_FALSE(mem_access_ok(0x10000FFC, 8)) << "straddles a block";
+  EXPECT_FALSE(mem_access_ok(0x1002, 4));
+  for (const std::uint64_t bytes : {0, 1, 2, 3, 5, 16, 260}) {
+    EXPECT_FALSE(mem_access_ok(0x1000, bytes)) << bytes;
+  }
+}
+
+TEST(SparseMemory, UnwrittenMemoryReadsZeroAndAllocatesNothing) {
+  SparseMemory mem;
+  for (const Addr a : {Addr{0}, Addr{0x40}, Addr{0x10000FF8}, ~Addr{7}}) {
+    EXPECT_EQ(mem.read(a, 8), 0U);
+    EXPECT_EQ(mem.read(a + 4, 4), 0U);
+  }
+  EXPECT_EQ(mem.blocks(), 0U);
+  mem.write(0x1008, 8, 0x0102030405060708ULL);
+  EXPECT_EQ(mem.blocks(), 1U);
+  // The rest of the block, and every other block, still reads 0.
+  EXPECT_EQ(mem.read(0x1000, 8), 0U);
+  EXPECT_EQ(mem.read(0x1038, 8), 0U);
+  EXPECT_EQ(mem.read(0x1040, 8), 0U);
+  EXPECT_EQ(mem.blocks(), 1U);
+  // Little-endian composition across access sizes.
+  EXPECT_EQ(mem.read(0x1008, 4), 0x05060708U);
+  EXPECT_EQ(mem.read(0x100C, 4), 0x01020304U);
+  mem.write(0x100C, 4, 0xAABBCCDDU);
+  EXPECT_EQ(mem.read(0x1008, 8), 0xAABBCCDD05060708ULL);
+}
+
+TEST(SparseMemory, MatchesByteMapModel) {
+  SparseMemory mem;
+  std::map<Addr, std::uint8_t> model;
+  std::set<Addr> written_blocks;
+  Xoshiro256 rng(2006);
+  Addr addr = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint32_t bytes = rng.chance(0.5) ? 8 : 4;
+    // Half the accesses stay in the last block (the MRU path); the rest
+    // jump across four far-apart 64 KiB regions, so the index grows
+    // from 64 slots through several doublings.
+    if (rng.chance(0.5)) {
+      addr = (addr & ~Addr{63}) + rng.below(64);
+    } else {
+      addr = 0x10000000ULL + rng.below(4) * 0x04000000ULL + rng.below(1 << 16);
+    }
+    addr &= ~Addr{bytes - 1};
+    if (rng.chance(0.4)) {
+      const std::uint64_t v = rng();
+      mem.write(addr, bytes, v);
+      for (std::uint32_t b = 0; b < bytes; ++b) {
+        model[addr + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      }
+      written_blocks.insert(addr / 64);
+    } else {
+      std::uint64_t expect = 0;
+      for (std::uint32_t b = 0; b < bytes; ++b) {
+        const auto it = model.find(addr + b);
+        if (it != model.end()) expect |= std::uint64_t{it->second} << (8 * b);
+      }
+      ASSERT_EQ(mem.read(addr, bytes), expect) << "op " << i << " @" << addr;
+    }
+  }
+  EXPECT_EQ(mem.blocks(), written_blocks.size());
+  EXPECT_GT(mem.blocks(), 2000U);
 }
 
 }  // namespace

@@ -892,6 +892,38 @@ TEST_P(TraceDamageSweepTest, V1DamageIsQuarantinedLikeV2) {
   }
 }
 
+TEST_P(TraceDamageSweepTest, StraddlingRecordFailsOnceNamingTheRecord) {
+  // An intact, guard-checked trace whose store moves 8 bytes at
+  // 0x10000FFC, across a 64-byte block. Replay must refuse the record
+  // before the core writes memory with it: a deterministic failure on
+  // the first attempt that names the record, the other jobs untouched.
+  const auto jobs = trace_jobs();
+  const auto clean = sim::run_jobs(jobs, 1);
+  const std::string& file = jobs[1].config.trace_path;
+  trace::Trace t = trace::read_samt(file);
+  std::size_t k = 0;
+  while (t.ops[k].op != trace::OpClass::kStore) ++k;
+  t.ops[k].mem_addr = 0x10000FFC;
+  t.ops[k].mem_size = 8;
+  trace::write_samt_v2(file, t, t.name, t.seed, 512);
+
+  sim::SweepOptions opt = options(2);
+  opt.retry.max_attempts = 3;  // must not be retried
+  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+  const sim::JobOutcome& oc = rep.jobs[1].outcome;
+  EXPECT_EQ(oc.status, sim::JobStatus::kFailed);
+  EXPECT_EQ(oc.failure, sim::FailureClass::kDeterministic);
+  EXPECT_EQ(oc.attempts, 1u);
+  EXPECT_NE(oc.what.find("record " + std::to_string(k) +
+                         ": 8-byte access at 0x10000ffc"),
+            std::string::npos)
+      << oc.what;
+  EXPECT_EQ(rep.completed, 2u);
+  EXPECT_EQ(sim::sweep_exit_code(rep), 2);
+  expect_results_identical(rep.jobs[0].result, clean[0].result);
+  expect_results_identical(rep.jobs[2].result, clean[2].result);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothRunners, SweepRunnerTest,
                          ::testing::Values(Runner::kThreads, Runner::kChildren),
                          runner_name);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -312,6 +313,36 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   EXPECT_EQ(opened.name(), "gcc");
   EXPECT_EQ(opened.seed(), generated.seed());
   expect_ops_equal(generated.view(), opened.view());
+}
+
+TEST_F(TraceIoTest, OpenSamtRejectsAStraddlingRecordByIndex) {
+  // Record 1 loads 8 bytes at 0x10000FFC, across a 64-byte block. The
+  // codec stays permissive and round-trips it with valid guards; the
+  // replay path refuses it, and not as a TraceFormatError, which a
+  // sweep would retry.
+  trace::Trace t = small_trace(3);
+  t.ops[1] = trace::MicroOp{.pc = t.ops[1].pc,
+                            .mem_addr = 0x10000FFC,
+                            .op = trace::OpClass::kLoad,
+                            .mem_size = 8,
+                            .dst = 1};
+  trace::write_samt(path("v1.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("v2.samt"), t, t.name, t.seed);
+  for (const char* file : {"v1.samt", "v2.samt"}) {
+    SCOPED_TRACE(file);
+    EXPECT_EQ(trace::read_samt(path(file)).ops[1].mem_addr, 0x10000FFCU);
+    try {
+      (void)trace::TraceSource::open_samt(path(file));
+      ADD_FAILURE() << "open_samt accepted a straddling record";
+    } catch (const trace::TraceFormatError& e) {
+      ADD_FAILURE() << "retryable error type: " << e.what();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "record 1: 8-byte access at 0x10000ffc"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------------ text import --
